@@ -1,8 +1,8 @@
 """Tour of the skeleton data pipeline on the synthetic benchmark.
 
-Generates a small separable dataset, then walks through the transforms a
-clip goes through on its way into the model: motion derivation, cropping,
-resampling, and temporal segmentation.
+Generates a small separable dataset, then walks through the steps a clip
+goes through on its way into the model: motion derivation, temporal
+segmentation, and per-segment cropping and resampling.
 
 Run:  python3 demos/synthetic_data_tour.py
 """
@@ -11,9 +11,8 @@ import tempfile
 
 import numpy as np
 
-from tssan.data import (center_crop, compute_motion, load_samples,
-                        make_synthetic_dataset, random_crop, resample_sequence)
-from tssan.segments import segment_spans
+from tssan.data import frame_differences, load_samples, make_synthetic_dataset
+from tssan.segments import TsnConfig, sample_segments, segment_spans
 
 with tempfile.TemporaryDirectory() as workdir:
     manifest = make_synthetic_dataset(workdir, num_labels=3, samples_per_label=4,
@@ -27,26 +26,28 @@ with tempfile.TemporaryDirectory() as workdir:
           f"label = {samples[0].label}")
 
     # motion is the frame-to-frame difference, zero-padded at the end
-    motion = compute_motion(clip)
-    print(f"motion magnitude: mean {np.abs(motion.deltas).mean():.4f}, "
-          f"last frame all-zero: {not motion.deltas[-1].any()}")
+    motion = frame_differences(clip.positions)
+    print(f"motion magnitude: mean {np.abs(motion).mean():.4f}, "
+          f"last frame all-zero: {not motion[-1].any()}")
 
     # dyadic-grid coordinates make the reconstruction exact, not just close
     recon = clip.positions[0].copy()
     exact = True
     for t in range(1, clip.frames):
-        recon = recon + motion.deltas[t - 1]
+        recon = recon + motion[t - 1]
         exact &= np.array_equal(recon, clip.positions[t])
     print(f"prefix-sum reconstructs positions exactly: {exact}")
 
-    # augmentation: random crop (train) vs center crop (eval), then resample
-    rng = np.random.default_rng(0)
-    cropped = random_crop(clip, rng)
-    print(f"\nrandom crop kept {cropped.frames}/{clip.frames} frames")
-    centered = center_crop(clip, 0.9)
-    print(f"center crop (0.9) kept {centered.frames} frames")
-    fixed = resample_sequence(cropped, 32)
-    print(f"resampled to fixed length: {fixed.frames} frames")
-
-    spans = segment_spans(clip.frames, 3)
+    config = TsnConfig(segments=3, frames_per_segment=32)
+    spans = segment_spans(clip.frames, config.segments)
     print(f"\ntemporal segments of a {clip.frames}-frame clip: {spans}")
+
+    # each segment is cropped (random in training, centered in eval) and
+    # resampled to a fixed length; rows are segment-major over the batch
+    pairs = [(s.clip.positions, frame_differences(s.clip.positions))
+             for s in samples[:2]]
+    train_pos, _ = sample_segments(pairs, config, True, np.random.default_rng(0))
+    eval_pos, _ = sample_segments(pairs, config, False)
+    print(f"batch of {len(pairs)} clips -> (K*B, n, S, J, C) = {train_pos.shape}")
+    print(f"training crops differ from eval crops: "
+          f"{not np.array_equal(train_pos, eval_pos)}")

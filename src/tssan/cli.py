@@ -222,17 +222,26 @@ def build_run_config(args, manifest, first_clip):
     return model, tsn, train
 
 
+def _prepare_split(manifest, samples, segments: int):
+    """prepare_samples, refusing clips too short to split into ``segments``."""
+    for i, sample in enumerate(samples):
+        if sample.clip.frames < segments:
+            raise CliError(f"{manifest.sample_path(i)}: {sample.clip.frames} frames "
+                           f"cannot be split into {segments} segments")
+    return prepare_samples(samples)
+
+
 def cmd_train(args) -> int:
     manifest = load_manifest(args.data)
-    samples = prepare_samples(load_samples(manifest))
+    raw = load_samples(manifest)
+    model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, raw[0].clip)
+    samples = _prepare_split(manifest, raw, tsn_cfg.segments)
     val = None
     if args.val:
         val_manifest = load_manifest(args.val)
         if val_manifest.num_labels != manifest.num_labels:
             raise CliError("train/val manifests disagree on num_labels")
-        val = prepare_samples(load_samples(val_manifest))
-    clip = load_sample(manifest.sample_path(0)).clip
-    model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, clip)
+        val = _prepare_split(val_manifest, load_samples(val_manifest), tsn_cfg.segments)
 
     os.makedirs(args.out, exist_ok=True)
     write_config_echo(os.path.join(args.out, "config.ini"),
@@ -260,7 +269,7 @@ def cmd_eval(args) -> int:
     if manifest.num_labels != model.variant.config.num_labels:
         raise CliError(f"checkpoint expects {model.variant.config.num_labels} labels, "
                        f"manifest has {manifest.num_labels}")
-    samples = prepare_samples(load_samples(manifest))
+    samples = _prepare_split(manifest, load_samples(manifest), model.config.segments)
     top1, top5 = evaluate(model, samples)
     print(f"top1={top1!r} top5={top5!r}")
     return 0

@@ -2,7 +2,9 @@
 
 A clip holds joint positions shaped (F, S, J, C): frames, person slots,
 joints per person, coordinates.  Person slots beyond the detected people
-are zero-padded and flagged invalid; every transform keeps them at zero.
+are zero-padded and flagged invalid.  The frame-axis transforms act on
+plain arrays along axis 0, so positions and motions share them and padded
+slots stay at zero; ``segments.sample_segments`` applies them per segment.
 """
 
 from __future__ import annotations
@@ -64,17 +66,6 @@ class SkeletonClip:
     def coords(self) -> int:
         return self.positions.shape[3]
 
-    def with_positions(self, positions: np.ndarray) -> "SkeletonClip":
-        return SkeletonClip(positions, self.valid_person_mask.copy())
-
-
-@dataclass
-class MotionClip:
-    """Frame-to-frame position differences, zero-padded at the final frame."""
-
-    deltas: np.ndarray
-    valid_person_mask: np.ndarray
-
 
 @dataclass
 class LabeledSample:
@@ -110,10 +101,6 @@ def frame_differences(positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_motion(clip: SkeletonClip) -> MotionClip:
-    return MotionClip(frame_differences(clip.positions), clip.valid_person_mask.copy())
-
-
 def resample_frames(array: np.ndarray, target_frames: int) -> np.ndarray:
     """Endpoint-aligned linear interpolation along axis 0.
 
@@ -131,10 +118,6 @@ def resample_frames(array: np.ndarray, target_frames: int) -> np.ndarray:
     return array[lo] * (1.0 - w) + array[lo + 1] * w
 
 
-def resample_sequence(clip: SkeletonClip, target_frames: int) -> SkeletonClip:
-    return clip.with_positions(resample_frames(clip.positions, target_frames))
-
-
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
@@ -150,49 +133,10 @@ def random_crop_window(frames: int, rng: np.random.Generator,
 
 
 def center_crop_window(frames: int, ratio: float = 0.9) -> slice:
-    length = max(2, min(frames, _round_half_up(ratio * frames)))
+    """Centered window of ~``ratio * frames`` frames, at least 2 when possible."""
+    length = min(frames, max(2, _round_half_up(ratio * frames)))
     start = (frames - length) // 2
     return slice(start, start + length)
-
-
-def random_crop(clip: SkeletonClip, rng: np.random.Generator,
-                lo: float = 0.5, hi: float = 1.0) -> SkeletonClip:
-    return clip.with_positions(clip.positions[random_crop_window(clip.frames, rng, lo, hi)])
-
-
-def center_crop(clip: SkeletonClip, ratio: float = 0.9) -> SkeletonClip:
-    return clip.with_positions(clip.positions[center_crop_window(clip.frames, ratio)])
-
-
-def repeat_pad_frames(clip: SkeletonClip, target: int = 300) -> SkeletonClip:
-    """Cycle the sequence from the start until it has ``target`` frames."""
-    if clip.frames >= target:
-        return clip.with_positions(clip.positions[:target])
-    idx = np.arange(target) % clip.frames
-    return clip.with_positions(clip.positions[idx])
-
-
-def select_top_people(detections: np.ndarray, s_max: int = 2) -> SkeletonClip:
-    """Keep the ``s_max`` candidates with highest mean confidence.
-
-    ``detections``: (F, P, J, C) with the confidence score in the last
-    coordinate channel.  Ties keep the lower candidate index; missing
-    slots are zero-padded and masked invalid.  P == 0 yields an all-zero
-    clip the model must still accept.
-    """
-    detections = np.asarray(detections, dtype=np.float64)
-    if detections.ndim != 4:
-        raise ValueError(f"detections must be (F, P, J, C), got {detections.shape}")
-    frames, candidates, joints, coords = detections.shape
-    positions = np.zeros((frames, s_max, joints, coords))
-    mask = np.zeros(s_max, dtype=bool)
-    if candidates > 0:
-        mean_conf = detections[..., -1].mean(axis=(0, 2))
-        order = np.argsort(-mean_conf, kind="stable")[:s_max]
-        for slot, person in enumerate(order):
-            positions[:, slot] = detections[:, person]
-            mask[slot] = True
-    return SkeletonClip(positions, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +175,9 @@ def load_sample(path: str) -> LabeledSample:
         raise SampleFormatError(f"{path}:{lineno}: non-integer header field in {header!r}") from None
     if min(frames, persons, joints, coords) < 1 or label < 0:
         raise SampleFormatError(f"{path}:{lineno}: header extents must be positive")
+    if frames < 2:
+        raise SampleFormatError(f"{path}:{lineno}: a clip needs at least 2 frames "
+                                f"to derive motion, got {frames}")
 
     expected = frames * persons * joints
     values = np.zeros((expected, coords))
@@ -248,6 +195,10 @@ def load_sample(path: str) -> LabeledSample:
         count += 1
     if count != expected:
         raise SampleFormatError(f"{path}: truncated: {count} of {expected} data rows")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno, line = list(_data_lines(path))[1 + int(np.argmin(finite))]
+        raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
 
     positions = values.reshape(frames, persons, joints, coords)
     mask = np.abs(positions).sum(axis=(0, 2, 3)) > 0

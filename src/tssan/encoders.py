@@ -20,11 +20,7 @@ class FeedForwardEncoder(Module):
     def __init__(self, coords_in: int, coords_out: int, rng: np.random.Generator):
         super().__init__()
         self.coords_in = coords_in
-        self.coords_out = coords_out
         self.proj = Linear(coords_in, coords_out, rng)
-
-    def output_width(self, joints: int) -> int:
-        return joints * self.coords_out
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape[-1] != self.coords_in:
@@ -59,9 +55,6 @@ class CnnEncoder(Module):
         self.conv3 = Conv2d(joints_in, 32, (3, 3), rng)
         self.conv4 = Conv2d(32, 64, (3, 3), rng)
         self.drop = Dropout(dropout)
-
-    def output_width(self, joints: int | None = None) -> int:
-        return self.OUTPUT_WIDTH
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         b, f, j, c = x.shape

@@ -249,30 +249,3 @@ def build_variant(config: ModelConfig, rng: np.random.Generator) -> Module:
     cls = {"v1": SanV1, "v2": SanV2, "v3": SanV3}[config.variant]
     return cls(config, rng)
 
-
-def variant_loss(output: VariantOutput, labels) -> Tensor:
-    """Cross-entropy training loss; v3 sums the loss of all three heads."""
-    if output.aux_logits:
-        total = None
-        for logits in output.aux_logits.values():
-            term = T.cross_entropy(logits, labels)
-            total = term if total is None else total + term
-        return total
-    return T.cross_entropy(output.logits, labels)
-
-
-def predict(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax then argmax with ties to the lowest index.
-
-    Accepts (L,) or (B, L) raw logits; returns (labels, probabilities).
-    """
-    arr = np.asarray(logits, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None]
-    shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
-    probs = shifted / shifted.sum(axis=-1, keepdims=True)
-    labels = probs.argmax(axis=-1)
-    if squeeze:
-        return labels[0], probs[0]
-    return labels, probs

@@ -32,10 +32,6 @@ class Module:
                     elif isinstance(item, Tensor) and item.requires_grad:
                         yield f"{key}.{i}", item
 
-    def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
-
     def train(self, mode: bool = True):
         self.training = mode
         for value in vars(self).values():
@@ -49,10 +45,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:

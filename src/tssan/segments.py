@@ -3,6 +3,8 @@
 A clip is divided into contiguous near-equal segments; one shared-weight
 variant model scores a fixed-length sample from each; per-segment softmax
 probabilities are fused by elementwise average or maximum (renormalized).
+:func:`sample_segments` is the one path from clips to model input: it
+segments, crops and resamples a whole batch into a segment-major stack.
 All fusion runs in log space, so the training loss on fused probabilities
 is numerically stable.
 """
@@ -15,8 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionTrace
-from .data import (SkeletonClip, center_crop_window, random_crop_window,
-                   resample_frames)
+from .data import center_crop_window, random_crop_window, resample_frames
 from .nn import Module
 from .tensor import Tensor
 
@@ -60,31 +61,36 @@ def segment_spans(frames: int, segments: int) -> list[tuple[int, int]]:
     return spans
 
 
-def segment_video(clip: SkeletonClip, segments: int) -> list[SkeletonClip]:
-    return [clip.with_positions(clip.positions[a:b])
-            for a, b in segment_spans(clip.frames, segments)]
-
-
-def _sample_window(length: int, training: bool, config: TsnConfig,
-                   rng: np.random.Generator | None) -> slice:
-    if training:
-        lo, hi = config.train_crop
-        return random_crop_window(length, rng, lo, hi)
-    return center_crop_window(length, config.eval_crop)
-
-
 def _resample_to(arr: np.ndarray, target: int) -> np.ndarray:
     if arr.shape[0] < 2:
         return np.repeat(arr, target, axis=0)
     return resample_frames(arr, target)
 
 
-def sample_segment_frames(clip: SkeletonClip, target: int, training: bool,
-                          config: TsnConfig, rng: np.random.Generator | None = None
-                          ) -> SkeletonClip:
-    """Crop (random in training, centered in eval) then resample to ``target``."""
-    window = _sample_window(clip.frames, training, config, rng)
-    return clip.with_positions(_resample_to(clip.positions[window], target))
+def sample_segments(pairs: list[tuple[np.ndarray, np.ndarray]], config: TsnConfig,
+                    training: bool, rng: np.random.Generator | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Segment, crop and resample a batch of (positions, motions) clips.
+
+    Each clip is split by :func:`segment_spans`; every segment is cropped
+    (random window in training, centered in eval) and resampled to
+    ``frames_per_segment``.  Returns segment-major (K*B, n, S, J, C) stacks
+    where row k*B + b is segment k of clip b.  Windows are drawn clip by
+    clip, segment by segment, so a seeded ``rng`` fixes every crop.
+    """
+    n = config.frames_per_segment
+    pos_rows = [[] for _ in range(config.segments)]   # [k][b]: segment k of clip b
+    mot_rows = [[] for _ in range(config.segments)]
+    for positions, motions in pairs:
+        for k, (a, b) in enumerate(segment_spans(positions.shape[0], config.segments)):
+            if training:
+                window = random_crop_window(b - a, rng, *config.train_crop)
+            else:
+                window = center_crop_window(b - a, config.eval_crop)
+            frames = slice(a + window.start, a + window.stop)
+            pos_rows[k].append(_resample_to(positions[frames], n))
+            mot_rows[k].append(_resample_to(motions[frames], n))
+    return np.stack(sum(pos_rows, [])), np.stack(sum(mot_rows, []))
 
 
 @dataclass
@@ -122,29 +128,12 @@ class TsSan(Module):
                       rng: np.random.Generator | None = None) -> TsOutput:
         """Score a batch of (positions, motions) clips of arbitrary lengths.
 
-        Each clip is segmented and sampled to the configured length; the
-        variant then scores all segments of all clips in one stacked batch
-        (segment k of clip b sits at row k*B + b).
+        :func:`sample_segments` turns the clips into one segment-major stack
+        and the variant scores all segments of all clips at once.
         """
         k = self.config.segments
-        n = self.config.frames_per_segment
         batch = len(pairs)
-        pos_rows, mot_rows = [], []
-        for positions, motions in pairs:
-            spans = segment_spans(positions.shape[0], k)
-            for a, b in spans:
-                window = _sample_window(b - a, self.training, self.config, rng)
-                shifted = slice(a + window.start, a + window.stop)
-                pos_rows.append(_resample_to(positions[shifted], n))
-                mot_rows.append(_resample_to(motions[shifted], n))
-        # rows arrive clip-major; regroup segment-major for (K, B, ...) reshapes
-        pos_stack = np.stack(pos_rows).reshape((batch, k) + pos_rows[0].shape)
-        mot_stack = np.stack(mot_rows).reshape((batch, k) + mot_rows[0].shape)
-        pos_stack = np.ascontiguousarray(pos_stack.swapaxes(0, 1)).reshape(
-            (k * batch,) + pos_rows[0].shape)
-        mot_stack = np.ascontiguousarray(mot_stack.swapaxes(0, 1)).reshape(
-            (k * batch,) + mot_rows[0].shape)
-
+        pos_stack, mot_stack = sample_segments(pairs, self.config, self.training, rng)
         out = self.variant(pos_stack, mot_stack, rng)
         labels_dim = out.logits.shape[-1]
         heads = out.aux_logits if out.aux_logits else {"main": out.logits}

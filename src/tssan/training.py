@@ -158,25 +158,23 @@ class TrainingRun:
     last_path: str | None = None
 
 
-def _model_arrays(model: TsSan) -> dict[str, np.ndarray]:
-    return {name: p.data for name, p in model.named_parameters()}
-
-
 def _snapshot(model: TsSan, optimizer: Adam, scheduler: PlateauScheduler,
               rng: np.random.Generator, epoch: int, best_top1: float,
               configs: dict) -> tuple[dict, dict[str, np.ndarray]]:
+    """Checkpoint meta and arrays; per-parameter optimizer state is stored
+    as ``adam.<field>.<param>`` arrays next to ``param.<param>``."""
+    adam = optimizer.state_dict()
+    moments = {key: adam.pop(key) for key in list(adam) if isinstance(adam[key], dict)}
     arrays = {}
     for name, p in model.named_parameters():
         arrays[f"param.{name}"] = p.data
-        arrays[f"adam.m.{name}"] = optimizer.m[name]
-        arrays[f"adam.v.{name}"] = optimizer.v[name]
+        for key, per_param in moments.items():
+            arrays[f"adam.{key}.{name}"] = per_param[name]
     meta = {
         "configs": configs,
         "epoch": epoch,
         "best_top1": best_top1,
-        "adam": {"step_count": optimizer.step_count, "lr": optimizer.lr,
-                 "weight_decay": optimizer.weight_decay,
-                 "betas": [optimizer.beta1, optimizer.beta2], "eps": optimizer.eps},
+        "adam": adam,
         "scheduler": scheduler.state_dict(),
         "rng_state": rng.bit_generator.state,
     }
@@ -251,11 +249,12 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
             raise CheckpointError(f"{resume_from}: checkpoint was produced by a "
                                   f"different model/tsn configuration")
         restore_model_arrays(model, arrays)
-        for name in dict(model.named_parameters()):
-            optimizer.m[name][...] = arrays[f"adam.m.{name}"]
-            optimizer.v[name][...] = arrays[f"adam.v.{name}"]
-        optimizer.step_count = int(meta["adam"]["step_count"])
-        optimizer.lr = float(meta["adam"]["lr"])
+        adam = dict(meta["adam"])
+        for key, arr in arrays.items():
+            if key.startswith("adam."):
+                _, moment, name = key.split(".", 2)
+                adam.setdefault(moment, {})[name] = arr
+        optimizer.load_state_dict(adam)
         scheduler.load_state_dict(meta["scheduler"])
         rng.bit_generator.state = meta["rng_state"]
         start_epoch = int(meta["epoch"])

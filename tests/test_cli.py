@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tssan.cli import main
-from tssan.data import load_manifest
+from tssan.data import SkeletonClip, load_manifest, save_sample
 
 
 def run_cli(*argv):
@@ -35,6 +35,17 @@ def _quick_train(tmp_path, synthetic_dir, *extra):
     return out
 
 
+def _clip_dir(tmp_path, frames_by_name):
+    """A directory of sample files with the given frame counts, label 0."""
+    rng = np.random.default_rng(0)
+    folder = tmp_path / "clips"
+    folder.mkdir()
+    for name, frames in frames_by_name.items():
+        clip = SkeletonClip(rng.normal(size=(frames, 2, 2, 2)), np.ones(2, bool))
+        save_sample(str(folder / name), clip, 0)
+    return folder
+
+
 class TestPrepare:
     def test_synthetic_manifest_counts(self, synthetic_dir):
         manifest = load_manifest(str(synthetic_dir / "train.manifest"))
@@ -63,6 +74,21 @@ class TestPrepare:
         assert code == 0
         manifest = load_manifest(str(out / "train.manifest"))
         assert len(manifest) == 18  # train + val sample files reindexed
+
+    def test_one_frame_clip_exits_2(self, tmp_path, capsys):
+        folder = _clip_dir(tmp_path, {"a.txt": 6, "short.txt": 1})
+        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
+        assert code == 2
+        assert "short.txt:1: a clip needs at least 2 frames" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_2_with_line(self, tmp_path, capsys):
+        folder = _clip_dir(tmp_path, {"bad.txt": 3})
+        lines = (folder / "bad.txt").read_text().splitlines()
+        lines[4] = "nan 0.5"
+        (folder / "bad.txt").write_text("\n".join(lines) + "\n")
+        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
+        assert code == 2
+        assert "bad.txt:5: non-finite value" in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -114,6 +140,19 @@ class TestTrainEval:
         run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
                 "--data", str(synthetic_dir / "val.manifest"))
         assert capsys.readouterr().out.strip() == first
+
+    def test_clip_shorter_than_segments_exits_2_before_training(self, tmp_path, capsys):
+        folder = _clip_dir(tmp_path, {"a.txt": 6, "short.txt": 2})
+        data = tmp_path / "data"
+        assert run_cli("prepare", "--out", str(data), "--input", str(folder)) == 0
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", str(data / "train.manifest"), "--out", str(out),
+                       "--variant", "v2", "--encoder", "ff", "--segments", "3",
+                       "--frames-per-segment", "4", "--epochs", "1", "--quiet")
+        assert code == 2
+        assert "short.txt: 2 frames cannot be split into 3 segments" in \
+            capsys.readouterr().err
+        assert not (out / "metrics.log").exists()
 
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, synthetic_dir):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "none.ckpt"),

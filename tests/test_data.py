@@ -3,10 +3,9 @@ import pytest
 
 from tssan.data import (
     DatasetManifest, SampleFormatError, SkeletonClip, ValidationError,
-    center_crop, center_crop_window, compute_motion, frame_differences,
-    load_manifest, load_sample, load_samples, make_synthetic_dataset,
-    random_crop, random_crop_window, repeat_pad_frames, resample_frames,
-    resample_sequence, save_manifest, save_sample, select_top_people,
+    center_crop_window, frame_differences, load_manifest, load_sample,
+    load_samples, make_synthetic_dataset, random_crop_window, resample_frames,
+    save_manifest, save_sample,
 )
 
 
@@ -23,22 +22,22 @@ def _random_clip(rng, frames=5, persons=2, joints=3, coords=3):
 
 class TestMotion:
     def test_constant_positions_give_zero_motion(self):
-        clip = _clip(np.ones((4, 1, 2, 3)))
-        np.testing.assert_array_equal(compute_motion(clip).deltas, np.zeros((4, 1, 2, 3)))
+        np.testing.assert_array_equal(frame_differences(np.ones((4, 1, 2, 3))),
+                                      np.zeros((4, 1, 2, 3)))
 
     def test_linear_motion(self):
         pos = np.zeros((5, 1, 1, 3))
         pos[:, 0, 0, 0] = np.arange(5.0)
-        deltas = compute_motion(_clip(pos)).deltas
+        deltas = frame_differences(pos)
         np.testing.assert_array_equal(deltas[:4, 0, 0], [[1, 0, 0]] * 4)
         np.testing.assert_array_equal(deltas[4], np.zeros((1, 1, 3)))
 
     def test_matches_difference_oracle(self):
         rng = np.random.default_rng(0)
-        clip = _random_clip(rng)
-        deltas = compute_motion(clip).deltas
+        pos = _random_clip(rng).positions
+        deltas = frame_differences(pos)
         for t in range(4):
-            np.testing.assert_array_equal(deltas[t], clip.positions[t + 1] - clip.positions[t])
+            np.testing.assert_array_equal(deltas[t], pos[t + 1] - pos[t])
 
     def test_prefix_sum_reconstructs_positions(self):
         # dyadic-grid coordinates make the difference/prefix-sum pair exact
@@ -51,21 +50,20 @@ class TestMotion:
 
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError, match="at least 2 frames"):
-            compute_motion(_clip(np.ones((1, 1, 1, 3))))
+            frame_differences(np.ones((1, 1, 1, 3)))
 
     def test_padded_person_stays_zero(self):
         pos = np.random.default_rng(2).normal(size=(4, 2, 2, 3))
         pos[:, 1] = 0.0
-        deltas = compute_motion(_clip(pos, [True, False])).deltas
+        deltas = frame_differences(pos)
         np.testing.assert_array_equal(deltas[:, 1], np.zeros((4, 2, 3)))
 
 
 class TestResample:
     def test_same_length_is_identity(self):
         rng = np.random.default_rng(3)
-        clip = _random_clip(rng, frames=7)
-        out = resample_sequence(clip, 7)
-        np.testing.assert_array_equal(out.positions, clip.positions)
+        pos = _random_clip(rng, frames=7).positions
+        np.testing.assert_array_equal(resample_frames(pos, 7), pos)
 
     def test_midpoint(self):
         pos = np.zeros((2, 1, 1, 1))
@@ -80,10 +78,10 @@ class TestResample:
 
     def test_no_overshoot(self):
         rng = np.random.default_rng(4)
-        clip = _random_clip(rng, frames=9)
-        out = resample_sequence(clip, 25)
-        assert out.positions.max() <= clip.positions.max() + 1e-15
-        assert out.positions.min() >= clip.positions.min() - 1e-15
+        pos = _random_clip(rng, frames=9).positions
+        out = resample_frames(pos, 25)
+        assert out.max() <= pos.max() + 1e-15
+        assert out.min() >= pos.min() - 1e-15
 
     def test_degenerate_extents_rejected(self):
         with pytest.raises(ValueError):
@@ -115,84 +113,31 @@ class TestCrops:
         assert window == slice(16, 32)
 
     def test_random_crop_is_seed_reproducible(self):
-        rng = np.random.default_rng(5)
-        clip = _random_clip(rng, frames=20)
-        a = random_crop(clip, np.random.default_rng(42)).positions
-        b = random_crop(clip, np.random.default_rng(42)).positions
-        np.testing.assert_array_equal(a, b)
+        a = random_crop_window(20, np.random.default_rng(42))
+        b = random_crop_window(20, np.random.default_rng(42))
+        assert a == b
 
     def test_center_crop_32(self):
-        clip = _clip(np.arange(32.0).reshape(32, 1, 1, 1))
-        out = center_crop(clip, 0.9)
-        assert out.frames == 29
-        assert out.positions[0, 0, 0, 0] == 1.0  # starts at floor((32-29)/2)
+        # 29 frames starting at floor((32-29)/2)
+        assert center_crop_window(32, 0.9) == slice(1, 30)
 
     def test_center_crop_ratio_one_identity(self):
-        clip = _clip(np.arange(10.0).reshape(10, 1, 1, 1))
-        np.testing.assert_array_equal(center_crop(clip, 1.0).positions, clip.positions)
+        assert center_crop_window(10, 1.0) == slice(0, 10)
 
     def test_center_crop_10(self):
         assert center_crop_window(10, 0.9) == slice(0, 9)
 
     def test_augmentations_commute_with_person_permutation(self):
         rng = np.random.default_rng(6)
-        clip = _random_clip(rng, frames=12, persons=3)
+        pos = _random_clip(rng, frames=12, persons=3).positions
         perm = [2, 0, 1]
-        permuted = _clip(clip.positions[:, perm])
-        for transform in (lambda c, s: random_crop(c, np.random.default_rng(s)),
-                          lambda c, s: center_crop(c),
-                          lambda c, s: resample_sequence(c, 7),
-                          lambda c, s: repeat_pad_frames(c, 20)):
-            direct = transform(permuted, 9).positions
-            swapped = transform(clip, 9).positions[:, perm]
+        for transform in (lambda p, s: p[random_crop_window(12, np.random.default_rng(s))],
+                          lambda p, s: p[center_crop_window(12)],
+                          lambda p, s: resample_frames(p, 7),
+                          lambda p, s: frame_differences(p)):
+            direct = transform(pos[:, perm], 9)
+            swapped = transform(pos, 9)[:, perm]
             np.testing.assert_array_equal(direct, swapped)
-
-
-class TestRepeatPad:
-    def test_already_at_target(self):
-        clip = _random_clip(np.random.default_rng(7), frames=6)
-        np.testing.assert_array_equal(repeat_pad_frames(clip, 6).positions, clip.positions)
-
-    def test_cycles_from_start(self):
-        pos = np.stack([np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 2.0)])
-        out = repeat_pad_frames(_clip(pos), 5)
-        np.testing.assert_array_equal(out.positions[:, 0, 0, 0], [1, 2, 1, 2, 1])
-
-    def test_exact_two_copies(self):
-        clip = _random_clip(np.random.default_rng(8), frames=150)
-        out = repeat_pad_frames(clip, 300)
-        np.testing.assert_array_equal(out.positions[:150], clip.positions)
-        np.testing.assert_array_equal(out.positions[150:], clip.positions)
-
-
-class TestSelectTopPeople:
-    def _detections(self, confidences, frames=4, joints=3):
-        people = len(confidences)
-        det = np.zeros((frames, people, joints, 3))
-        for p, conf in enumerate(confidences):
-            det[:, p, :, 0] = p + 1.0  # distinguishable x coordinate
-            det[:, p, :, 2] = conf
-        return det
-
-    def test_single_person_pads_second_slot(self):
-        clip = select_top_people(self._detections([0.8]), s_max=2)
-        assert clip.valid_person_mask.tolist() == [True, False]
-        np.testing.assert_array_equal(clip.positions[:, 1], 0.0)
-
-    def test_ranking_keeps_best_two(self):
-        clip = select_top_people(self._detections([0.9, 0.5, 0.7]), s_max=2)
-        np.testing.assert_array_equal(clip.positions[:, 0, :, 0], 1.0)
-        np.testing.assert_array_equal(clip.positions[:, 1, :, 0], 3.0)
-
-    def test_ties_keep_lower_index(self):
-        clip = select_top_people(self._detections([0.7, 0.7, 0.7]), s_max=2)
-        np.testing.assert_array_equal(clip.positions[:, 0, :, 0], 1.0)
-        np.testing.assert_array_equal(clip.positions[:, 1, :, 0], 2.0)
-
-    def test_zero_people_yields_valid_empty_clip(self):
-        clip = select_top_people(np.zeros((4, 0, 3, 3)), s_max=2)
-        assert not clip.valid_person_mask.any()
-        np.testing.assert_array_equal(clip.positions, np.zeros((4, 2, 3, 3)))
 
 
 class TestSampleFiles:

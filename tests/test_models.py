@@ -3,8 +3,8 @@ import pytest
 
 from tssan import tensor as T
 from tssan.gradcheck import check_parameter_gradients
-from tssan.models import (ModelConfig, SanV2, build_variant, predict,
-                          variant_loss)
+from tssan.models import ModelConfig, SanV2, build_variant
+from tssan.segments import TsnConfig, TsSan, ts_loss
 from tssan.tensor import Tensor, backward
 
 from oracles import ff_encode_loops, layer_norm_rows, multi_head_attention_loops
@@ -21,6 +21,16 @@ def _config(variant, encoder="ff", **kw):
 def _inputs(rng, config, batch=2):
     shape = (batch, config.frames, config.persons, config.joints, config.coords)
     return rng.normal(size=shape), rng.normal(size=shape)
+
+
+def _one_segment_model(config, rng):
+    """K=1 TsSan whose eval-mode sampling hands clips to the variant unchanged."""
+    return TsSan(build_variant(config, rng),
+                 TsnConfig(segments=1, frames_per_segment=config.frames, eval_crop=1.0))
+
+
+def _clips(rng, config, batch=2):
+    return list(zip(*_inputs(rng, config, batch)))
 
 
 class TestShapesAndFiniteness:
@@ -173,12 +183,12 @@ class TestV3:
         # three uniform heads over 4 labels -> total loss 3 * ln 4
         rng = np.random.default_rng(11)
         config = _config("v3")
-        model = build_variant(config, rng)
+        model = _one_segment_model(config, rng)
         model.eval()
-        out = model(*_inputs(rng, config))
-        for logits in out.aux_logits.values():
-            logits.data[:] = 0.0
-        loss = variant_loss(out, [0, 2])
+        for head in (model.variant.pos_head, model.variant.mot_head, model.variant.cat_head):
+            head.linear.w.data[:] = 0.0
+            head.linear.b.data[:] = 0.0
+        loss = ts_loss(model.forward_batch(_clips(rng, config)), [0, 2])
         assert abs(loss.item() - 3 * np.log(4.0)) <= 1e-12
 
 
@@ -187,10 +197,10 @@ class TestTrainingBehaviour:
     def test_loss_backward_populates_every_parameter(self, variant):
         rng = np.random.default_rng(12)
         config = _config(variant)
-        model = build_variant(config, rng)
+        model = _one_segment_model(config, rng)
         model.train()
-        out = model(*_inputs(rng, config), rng=np.random.default_rng(13))
-        backward(variant_loss(out, [1, 3]))
+        out = model.forward_batch(_clips(rng, config), rng=np.random.default_rng(13))
+        backward(ts_loss(out, [1, 3]))
         for name, p in model.named_parameters():
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad)), name
@@ -198,33 +208,16 @@ class TestTrainingBehaviour:
     def test_v2_parameter_gradients_match_fd(self):
         rng = np.random.default_rng(1)
         config = _config("v2")
-        model = build_variant(config, rng)
+        model = _one_segment_model(config, rng)
         model.eval()
-        positions, motions = _inputs(rng, config, batch=1)
+        clips = _clips(rng, config, batch=1)
         labels = [2]
 
         def loss_value():
-            return variant_loss(model(positions, motions), labels).data
+            return ts_loss(model.forward_batch(clips), labels).data
 
-        backward(variant_loss(model(positions, motions), labels))
+        backward(ts_loss(model.forward_batch(clips), labels))
         errors = check_parameter_gradients(loss_value, dict(model.named_parameters()),
                                            sample=16, sample_seed=5, floor=1e-6)
         assert max(errors.values()) <= 1e-4, errors
 
-
-class TestPredict:
-    def test_argmax(self):
-        label, probs = predict(np.array([0.0, 0.0, 1.0]))
-        assert label == 2
-        assert abs(probs.sum() - 1.0) <= 1e-9
-
-    def test_uniform_ties_to_lowest_index(self):
-        label, _ = predict(np.zeros(5))
-        assert label == 0
-
-    def test_constant_shift_invariance(self):
-        rng = np.random.default_rng(14)
-        logits = rng.normal(size=(6, 9))
-        labels, _ = predict(logits)
-        shifted, _ = predict(logits + 123.456)
-        np.testing.assert_array_equal(labels, shifted)

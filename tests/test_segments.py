@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from tssan.data import SkeletonClip, center_crop_window, resample_frames
+from tssan.data import center_crop_window, resample_frames
 from tssan.models import ModelConfig, build_variant
-from tssan.segments import (TsnConfig, TsOutput, TsSan, sample_segment_frames,
-                            segment_spans, segment_video, ts_loss)
+from tssan.segments import TsnConfig, TsSan, sample_segments, segment_spans, ts_loss
 from tssan.tensor import backward
 
 
@@ -37,36 +36,65 @@ class TestSegmentSpans:
         with pytest.raises(ValueError, match="cannot split"):
             segment_spans(2, 3)
 
-    def test_segment_video_slices(self):
-        clip = SkeletonClip(np.arange(10.0).reshape(10, 1, 1, 1), np.ones(1, bool))
-        parts = segment_video(clip, 3)
-        assert [p.frames for p in parts] == [4, 3, 3]
-        np.testing.assert_array_equal(parts[1].positions[:, 0, 0, 0], [4, 5, 6])
+
+def _ramp(frames, offset=0.0):
+    """A (frames, 1, 2, 3) clip whose every coordinate is offset + frame index."""
+    return offset + np.broadcast_to(np.arange(float(frames))[:, None, None, None],
+                                    (frames, 1, 2, 3))
 
 
 class TestSampleSegmentFrames:
+    """Per-segment cropping and resampling done by ``sample_segments``."""
+
     def test_eval_identity_when_ratio_one(self):
-        clip = SkeletonClip(np.random.default_rng(0).normal(size=(8, 1, 2, 3)),
-                            np.ones(1, bool))
+        rng = np.random.default_rng(0)
+        pos, mot = rng.normal(size=(8, 1, 2, 3)), rng.normal(size=(8, 1, 2, 3))
         config = TsnConfig(segments=1, frames_per_segment=8, eval_crop=1.0)
-        out = sample_segment_frames(clip, 8, training=False, config=config)
-        np.testing.assert_array_equal(out.positions, clip.positions)
+        out_pos, out_mot = sample_segments([(pos, mot)], config, training=False)
+        np.testing.assert_array_equal(out_pos, pos[None])
+        np.testing.assert_array_equal(out_mot, mot[None])
 
     def test_deterministic_under_seed(self):
-        clip = SkeletonClip(np.random.default_rng(1).normal(size=(20, 1, 2, 3)),
-                            np.ones(1, bool))
-        config = TsnConfig()
-        a = sample_segment_frames(clip, 8, True, config, np.random.default_rng(5))
-        b = sample_segment_frames(clip, 8, True, config, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.positions, b.positions)
+        pair = _pair(np.random.default_rng(1), frames=20, persons=1)
+        config = TsnConfig(frames_per_segment=8)
+        a = sample_segments([pair], config, True, np.random.default_rng(5))
+        b = sample_segments([pair], config, True, np.random.default_rng(5))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_output_length_always_target(self):
         rng = np.random.default_rng(2)
-        config = TsnConfig()
-        for frames in (2, 3, 9, 40):
-            clip = SkeletonClip(rng.normal(size=(frames, 1, 2, 3)), np.ones(1, bool))
-            out = sample_segment_frames(clip, 8, True, config, rng)
-            assert out.frames == 8
+        config = TsnConfig(frames_per_segment=8)
+        pairs = [_pair(rng, frames=f, persons=1) for f in (3, 4, 9, 40)]
+        for training in (True, False):
+            pos, mot = sample_segments(pairs, config, training, rng)
+            assert pos.shape == mot.shape == (3 * 4, 8, 1, 2, 3)
+
+    def test_segment_major_rows(self):
+        # 12-frame clips split into 4-frame spans; n = 4 at ratio 1 is the identity
+        clips = [_ramp(12, 100.0 * b) for b in range(2)]
+        config = TsnConfig(segments=3, frames_per_segment=4, eval_crop=1.0)
+        pos, mot = sample_segments([(c, -c) for c in clips], config, training=False)
+        for k in range(3):
+            for b in range(2):
+                np.testing.assert_array_equal(pos[k * 2 + b], clips[b][4 * k:4 * k + 4])
+                np.testing.assert_array_equal(mot[k * 2 + b], -clips[b][4 * k:4 * k + 4])
+
+    def test_eval_one_frame_segment_stays_in_its_span(self):
+        # F=4, K=3 spans (0, 2), (2, 3), (3, 4): segment 1 is frame 2 alone
+        clip = _ramp(4)
+        pos, _ = sample_segments([(clip, clip)], TsnConfig(frames_per_segment=2),
+                                 training=False)
+        np.testing.assert_array_equal(pos[1], np.full((2, 1, 2, 3), 2.0))
+
+    def test_eval_one_frame_per_segment_matches_training(self):
+        clip = _ramp(3)
+        config = TsnConfig(frames_per_segment=4)
+        evaluated, _ = sample_segments([(clip, clip)], config, training=False)
+        trained, _ = sample_segments([(clip, clip)], config, True, np.random.default_rng(0))
+        for k in range(3):
+            np.testing.assert_array_equal(evaluated[k], np.full((4, 1, 2, 3), float(k)))
+        np.testing.assert_array_equal(evaluated, trained)
 
 
 class TestConsensus:
