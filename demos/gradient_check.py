@@ -35,10 +35,10 @@ labels = [2]
 
 
 def loss_value():
-    return ts_loss(model.forward(positions, motions), labels).data
+    return ts_loss(model(positions, motions), labels).data
 
 
-backward(ts_loss(model.forward(positions, motions), labels))
+backward(ts_loss(model(positions, motions), labels))
 params = dict(model.named_parameters())
 print(f"checking {sum(p.data.size for p in params.values())} parameters "
       f"across {len(params)} tensors (sampled)")

@@ -36,10 +36,6 @@ class SanConfig:
         if self.ff_width <= 0:
             self.ff_width = 2 * self.width
 
-    @property
-    def head_dim(self) -> int:
-        return self.width // self.heads
-
 
 class AttentionTrace:
     """Row-stochastic attention probabilities, one (heads, F, F) matrix set
@@ -64,14 +60,6 @@ class AttentionTrace:
     @property
     def heads(self) -> int:
         return self.stacked.shape[2]
-
-    @property
-    def frames(self) -> int:
-        return self.stacked.shape[3]
-
-    def for_sample(self, index: int = 0) -> np.ndarray:
-        """(layers, heads, F, F) probabilities for one batch entry."""
-        return self.stacked[:, index]
 
     def matrix(self, layer: int, head: int, index: int = 0) -> np.ndarray:
         return self.stacked[layer, index, head]
@@ -102,7 +90,7 @@ class MultiHeadAttention(Module):
         self.wv = Linear(width, width, rng)
         self.wo = Linear(width, width, rng)
 
-    def forward(self, y: Tensor) -> tuple[Tensor, np.ndarray]:
+    def __call__(self, y: Tensor) -> tuple[Tensor, np.ndarray]:
         b, f, width = y.shape
 
         def split_heads(t: Tensor) -> Tensor:
@@ -116,8 +104,6 @@ class MultiHeadAttention(Module):
         ctx = T.matmul(probs, v)
         ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, f, width))
         return self.wo(ctx), probs.data
-
-    __call__ = forward
 
 
 class SanLayer(Module):
@@ -134,14 +120,12 @@ class SanLayer(Module):
         self.ff2 = Linear(config.ff_width, config.width, rng)
         self.drop = Dropout(config.dropout)
 
-    def forward(self, y: Tensor, rng: np.random.Generator | None = None
-                ) -> tuple[Tensor, np.ndarray]:
+    def __call__(self, y: Tensor, rng: np.random.Generator | None = None
+                 ) -> tuple[Tensor, np.ndarray]:
         attended, probs = self.attn(y)
         a = self.norm1(y + self.drop(attended, rng))
         ffn = self.ff2(T.relu(self.ff1(a)))
         return self.norm2(a + self.drop(ffn, rng)), probs
-
-    __call__ = forward
 
 
 class SanBlock(Module):
@@ -156,8 +140,8 @@ class SanBlock(Module):
         self.layers = [SanLayer(config, rng) for _ in range(config.layers)]
         self.proj = Linear(config.width * config.layers, config.width, rng)
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None
-                ) -> tuple[Tensor, AttentionTrace]:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None
+                 ) -> tuple[Tensor, AttentionTrace]:
         z = position_embed(x, self.pos_table)
         outputs = []
         probs = []
@@ -168,5 +152,3 @@ class SanBlock(Module):
         c = T.concat(outputs, axis=-1)                     # (B, F, H * N)
         pooled = T.tmean(c, axis=1)                        # average over frames
         return T.relu(self.proj(pooled)), AttentionTrace(probs)
-
-    __call__ = forward

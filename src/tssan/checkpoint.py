@@ -62,18 +62,31 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed header, not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"{path}: version {header.get('version')!r} "
                               f"unsupported (expected {VERSION})")
+    try:
+        meta = header["meta"]
+        index = [(e["name"], tuple(e["shape"]), e["offset"], e["nbytes"])
+                 for e in header["arrays"]]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc!r})") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: malformed header, meta is not an object")
     payload = blob[header_end:]
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
+    end = 0
+    for name, shape, start, nbytes in index:
+        if start < 0 or nbytes != 8 * int(np.prod(shape)):
+            raise CheckpointError(f"{path}: bad offset or size for {name}")
         if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
+            raise CheckpointError(f"{path}: truncated payload at {name}")
         arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8")
-        shape = tuple(entry["shape"])
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: size mismatch for {entry['name']}")
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return header["meta"], arrays
+        arrays[name] = arr.reshape(shape).astype(np.float64)
+        end = max(end, start + nbytes)
+    if len(payload) > end:
+        raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes "
+                              f"after the last array")
+    return meta, arrays

@@ -126,17 +126,15 @@ def _summarize(manifest, out):
 def cmd_prepare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.synthetic:
-        manifest = make_synthetic_dataset(
-            args.out, num_labels=args.labels, samples_per_label=args.per_label,
-            frames=args.frames, joints=args.joints, persons=args.persons,
-            coords=args.coords, noise=args.noise, seed=args.seed, split="train")
-        _summarize(manifest, os.path.join(args.out, "train.manifest"))
+        splits = [("train", args.per_label, args.seed)]
         if args.val_per_label > 0:
-            val = make_synthetic_dataset(
-                args.out, num_labels=args.labels, samples_per_label=args.val_per_label,
+            splits.append(("val", args.val_per_label, args.seed + 1))
+        for split, per_label, seed in splits:
+            manifest = make_synthetic_dataset(
+                args.out, num_labels=args.labels, samples_per_label=per_label,
                 frames=args.frames, joints=args.joints, persons=args.persons,
-                coords=args.coords, noise=args.noise, seed=args.seed + 1, split="val")
-            _summarize(val, os.path.join(args.out, "val.manifest"))
+                coords=args.coords, noise=args.noise, seed=seed, split=split)
+            _summarize(manifest, os.path.join(args.out, f"{split}.manifest"))
         return 0
     if not args.input:
         raise CliError("prepare needs either --synthetic or --input DIR")
@@ -187,47 +185,49 @@ def _add_train(sub):
     p.set_defaults(func=cmd_train)
 
 
-_TRAIN_FLAG_MAP = {
-    "model": {"variant": "variant", "encoder": "encoder",
-              "san_layers": "san_layers", "san_heads": "san_heads"},
-    "tsn": {"segments": "segments", "consensus": "consensus",
-            "frames_per_segment": "frames_per_segment"},
-    "train": {"epochs": "epochs", "lr": "lr", "batch_size": "batch_size",
-              "seed": "seed"},
-}
-
-
 def build_run_config(args, manifest, first_clip):
-    """Merge defaults <- config file <- flags into the three config objects."""
+    """Merge defaults <- config file <- flags into the three config objects.
+
+    A flag is the ``args`` attribute named after a section field."""
     sections = {"model": {}, "tsn": {}, "train": {}}
     if args.config:
         for section, values in read_config_file(args.config).items():
             sections[section].update(values)
-    for section, mapping in _TRAIN_FLAG_MAP.items():
-        for attr, key in mapping.items():
-            value = getattr(args, attr, None)
+    for section, cls in _SECTIONS.items():
+        for f in dataclass_fields(cls):
+            value = getattr(args, f.name, None)
             if value is not None:
-                sections[section][key] = value
+                sections[section][f.name] = value
+    for key in ("variant", "encoder"):
+        if key not in sections["model"]:
+            raise CliError(f"no model {key} given: pass --{key} or set {key} "
+                           f"in the [model] section of the --config file")
 
     try:
         tsn = TsnConfig(**sections["tsn"])
         model = ModelConfig(
             num_labels=manifest.num_labels, joints=first_clip.joints,
             coords=first_clip.coords, persons=first_clip.persons,
-            frames=tsn.frames_per_segment,
-            **{k: v for k, v in sections["model"].items()})
+            frames=tsn.frames_per_segment, **sections["model"])
         train = TrainConfig(**sections["train"])
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
     return model, tsn, train
 
 
-def _prepare_split(manifest, samples, segments: int):
-    """prepare_samples, refusing clips too short to split into ``segments``."""
-    for i, sample in enumerate(samples):
-        if sample.clip.frames < segments:
-            raise CliError(f"{manifest.sample_path(i)}: {sample.clip.frames} frames "
-                           f"cannot be split into {segments} segments")
+def _prepare_split(paths, samples, model: ModelConfig, segments: int):
+    """prepare_samples, refusing clips the model cannot take: another
+    (persons, joints, coords) geometry, or too few frames for ``segments``."""
+    expected = (model.persons, model.joints, model.coords)
+    for path, sample in zip(paths, samples):
+        clip = sample.clip
+        geometry = (clip.persons, clip.joints, clip.coords)
+        if geometry != expected:
+            raise CliError(f"{path}: clip geometry (persons, joints, coords) {geometry} "
+                           f"does not match the model's {expected}")
+        if clip.frames < segments:
+            raise CliError(f"{path}: {clip.frames} frames cannot be split into "
+                           f"{segments} segments")
     return prepare_samples(samples)
 
 
@@ -235,13 +235,14 @@ def cmd_train(args) -> int:
     manifest = load_manifest(args.data)
     raw = load_samples(manifest)
     model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, raw[0].clip)
-    samples = _prepare_split(manifest, raw, tsn_cfg.segments)
+    samples = _prepare_split(manifest.sample_paths(), raw, model_cfg, tsn_cfg.segments)
     val = None
     if args.val:
         val_manifest = load_manifest(args.val)
         if val_manifest.num_labels != manifest.num_labels:
             raise CliError("train/val manifests disagree on num_labels")
-        val = _prepare_split(val_manifest, load_samples(val_manifest), tsn_cfg.segments)
+        val = _prepare_split(val_manifest.sample_paths(), load_samples(val_manifest),
+                             model_cfg, tsn_cfg.segments)
 
     os.makedirs(args.out, exist_ok=True)
     write_config_echo(os.path.join(args.out, "config.ini"),
@@ -269,7 +270,8 @@ def cmd_eval(args) -> int:
     if manifest.num_labels != model.variant.config.num_labels:
         raise CliError(f"checkpoint expects {model.variant.config.num_labels} labels, "
                        f"manifest has {manifest.num_labels}")
-    samples = _prepare_split(manifest, load_samples(manifest), model.config.segments)
+    samples = _prepare_split(manifest.sample_paths(), load_samples(manifest),
+                             model.variant.config, model.config.segments)
     top1, top5 = evaluate(model, samples)
     print(f"top1={top1!r} top5={top5!r}")
     return 0
@@ -312,12 +314,11 @@ def write_matrix_csv(path: str, matrix: np.ndarray):
 
 
 def cmd_export_attention(args) -> int:
-    from .data import frame_differences
     model, meta = load_model_from_checkpoint(args.checkpoint)
     model.eval()
-    sample = load_sample(args.sample)
-    positions = sample.clip.positions
-    out = model(positions, frame_differences(positions))
+    (sample,) = _prepare_split([args.sample], [load_sample(args.sample)],
+                               model.variant.config, model.config.segments)
+    out = model(sample.positions, sample.motions)
 
     if not 0 <= args.segment < len(out.traces):
         raise CliError(f"segment {args.segment} out of range "

@@ -82,8 +82,8 @@ class DatasetManifest:
     entries: list[tuple[str, int]] = field(default_factory=list)
     base_dir: str = "."
 
-    def sample_path(self, i: int) -> str:
-        return os.path.join(self.base_dir, self.entries[i][0])
+    def sample_paths(self) -> list[str]:
+        return [os.path.join(self.base_dir, rel) for rel, _ in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -180,9 +180,9 @@ def load_sample(path: str) -> LabeledSample:
                                 f"to derive motion, got {frames}")
 
     expected = frames * persons * joints
+    rows = list(lines)                     # (lineno, line) of every data row
     values = np.zeros((expected, coords))
-    count = 0
-    for lineno, line in lines:
+    for count, (lineno, line) in enumerate(rows):
         if count >= expected:
             raise SampleFormatError(f"{path}:{lineno}: trailing data beyond {expected} rows")
         fields = line.split()
@@ -192,12 +192,11 @@ def load_sample(path: str) -> LabeledSample:
             values[count] = [float(f) for f in fields]
         except ValueError:
             raise SampleFormatError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-        count += 1
-    if count != expected:
-        raise SampleFormatError(f"{path}: truncated: {count} of {expected} data rows")
+    if len(rows) != expected:
+        raise SampleFormatError(f"{path}: truncated: {len(rows)} of {expected} data rows")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        lineno, line = list(_data_lines(path))[1 + int(np.argmin(finite))]
+        lineno, line = rows[int(np.argmin(finite))]
         raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
 
     positions = values.reshape(frames, persons, joints, coords)

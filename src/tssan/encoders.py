@@ -22,15 +22,13 @@ class FeedForwardEncoder(Module):
         self.coords_in = coords_in
         self.proj = Linear(coords_in, coords_out, rng)
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape[-1] != self.coords_in:
             raise T.ShapeError(f"encoder expects {self.coords_in} coordinates, "
                                f"got input shape {x.shape}")
         lifted = T.relu(self.proj(x))                      # (B, F, J, C')
         b, f, j, cp = lifted.shape
         return T.reshape(lifted, (b, f, j * cp))
-
-    __call__ = forward
 
 
 class CnnEncoder(Module):
@@ -46,7 +44,7 @@ class CnnEncoder(Module):
     OUTPUT_WIDTH = 8 * 64
 
     def __init__(self, coords_in: int, joints_in: int, rng: np.random.Generator,
-                 dropout: float = 0.5):
+                 dropout: float):
         super().__init__()
         self.coords_in = coords_in
         self.joints_in = joints_in
@@ -56,7 +54,7 @@ class CnnEncoder(Module):
         self.conv4 = Conv2d(32, 64, (3, 3), rng)
         self.drop = Dropout(dropout)
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         b, f, j, c = x.shape
         if c != self.coords_in or j != self.joints_in:
             raise T.ShapeError(f"encoder built for (J={self.joints_in}, C={self.coords_in}), "
@@ -71,13 +69,3 @@ class CnnEncoder(Module):
         h = T.reshape(h, (b, f, self.OUTPUT_WIDTH))
         return self.drop(h, rng)
 
-    __call__ = forward
-
-
-def make_encoder(kind: str, coords_in: int, joints_in: int, rng: np.random.Generator,
-                 ff_coord_width: int = 64, conv_dropout: float = 0.5) -> Module:
-    if kind == "ff":
-        return FeedForwardEncoder(coords_in, ff_coord_width, rng)
-    if kind == "cnn":
-        return CnnEncoder(coords_in, joints_in, rng, dropout=conv_dropout)
-    raise ValueError(f"unknown encoder kind {kind!r}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionTrace, SanBlock, SanConfig
-from .encoders import CnnEncoder, make_encoder
+from .encoders import CnnEncoder, FeedForwardEncoder
 from .nn import Dropout, Linear, Module
 from .tensor import Tensor
 
@@ -110,10 +110,15 @@ class ClassifierHead(Module):
         self.drop = Dropout(dropout)
         self.linear = Linear(in_width, num_labels, rng)
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return self.linear(self.drop(T.relu(x), rng))
 
-    __call__ = forward
+
+def _encoder(config: ModelConfig, joints: int, rng: np.random.Generator) -> Module:
+    """The configured encoder for ``joints`` joints of ``config.coords`` coordinates."""
+    if config.encoder == "ff":
+        return FeedForwardEncoder(config.coords, config.ff_coord_width, rng)
+    return CnnEncoder(config.coords, joints, rng, config.conv_dropout)
 
 
 def _check_pair(positions: np.ndarray, motions: np.ndarray, config: ModelConfig):
@@ -147,15 +152,13 @@ class SanV1(Module):
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
-        self.encoder = make_encoder(config.encoder, config.coords,
-                                    config.encoder_input_joints, rng,
-                                    config.ff_coord_width, config.conv_dropout)
+        self.encoder = _encoder(config, config.encoder_input_joints, rng)
         self.block = SanBlock(config.san_config(), rng)
         self.head = ClassifierHead(config.block_width, config.num_labels,
                                    config.head_dropout, rng)
 
-    def forward(self, positions: np.ndarray, motions: np.ndarray,
-                rng: np.random.Generator | None = None) -> VariantOutput:
+    def __call__(self, positions: np.ndarray, motions: np.ndarray,
+                 rng: np.random.Generator | None = None) -> VariantOutput:
         positions, motions = _check_pair(positions, motions, self.config)
         b, f = positions.shape[:2]
         joined = np.concatenate([
@@ -167,8 +170,6 @@ class SanV1(Module):
         logits = self.head(o, rng)
         return VariantOutput(logits=logits, traces={"fused": trace})
 
-    __call__ = forward
-
 
 class SanV2(Module):
     """Late fusion over people: shared encoders and one shared-weight block
@@ -177,16 +178,14 @@ class SanV2(Module):
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
-        self.pos_encoder = make_encoder(config.encoder, config.coords, config.joints,
-                                        rng, config.ff_coord_width, config.conv_dropout)
-        self.mot_encoder = make_encoder(config.encoder, config.coords, config.joints,
-                                        rng, config.ff_coord_width, config.conv_dropout)
+        self.pos_encoder = _encoder(config, config.joints, rng)
+        self.mot_encoder = _encoder(config, config.joints, rng)
         self.block = SanBlock(config.san_config(), rng)
         self.head = ClassifierHead(config.block_width, config.num_labels,
                                    config.head_dropout, rng)
 
-    def forward(self, positions: np.ndarray, motions: np.ndarray,
-                rng: np.random.Generator | None = None) -> VariantOutput:
+    def __call__(self, positions: np.ndarray, motions: np.ndarray,
+                 rng: np.random.Generator | None = None) -> VariantOutput:
         positions, motions = _check_pair(positions, motions, self.config)
         b = positions.shape[0]
         s = self.config.persons
@@ -199,8 +198,6 @@ class SanV2(Module):
         logits = self.head(merged, rng)
         return VariantOutput(logits=logits, traces=_person_traces(trace, s, b))
 
-    __call__ = forward
-
 
 class SanV3(Module):
     """Late fusion over modalities: per-modality person max over encoded
@@ -210,10 +207,8 @@ class SanV3(Module):
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
-        self.pos_encoder = make_encoder(config.encoder, config.coords, config.joints,
-                                        rng, config.ff_coord_width, config.conv_dropout)
-        self.mot_encoder = make_encoder(config.encoder, config.coords, config.joints,
-                                        rng, config.ff_coord_width, config.conv_dropout)
+        self.pos_encoder = _encoder(config, config.joints, rng)
+        self.mot_encoder = _encoder(config, config.joints, rng)
         self.pos_block = SanBlock(config.san_config(), rng)
         self.mot_block = SanBlock(config.san_config(), rng)
         width = config.block_width
@@ -229,8 +224,8 @@ class SanV3(Module):
         merged = T.amax(stacked, axis=0)                    # strongest person signal
         return block(merged, rng)
 
-    def forward(self, positions: np.ndarray, motions: np.ndarray,
-                rng: np.random.Generator | None = None) -> VariantOutput:
+    def __call__(self, positions: np.ndarray, motions: np.ndarray,
+                 rng: np.random.Generator | None = None) -> VariantOutput:
         positions, motions = _check_pair(positions, motions, self.config)
         o_pos, trace_pos = self._branch(positions, self.pos_encoder, self.pos_block, rng)
         o_mot, trace_mot = self._branch(motions, self.mot_encoder, self.mot_block, rng)
@@ -241,8 +236,6 @@ class SanV3(Module):
         }
         return VariantOutput(logits=logits["concat"], aux_logits=logits,
                              traces={"position": trace_pos, "motion": trace_mot})
-
-    __call__ = forward
 
 
 def build_variant(config: ModelConfig, rng: np.random.Generator) -> Module:

@@ -13,34 +13,34 @@ class Module:
 
     Parameters are discovered by walking instance attributes in insertion
     order, so construction order fixes the (deterministic) parameter order.
+    Each subclass defines its own ``__call__`` rather than inheriting one:
+    the benchmark's tracer (bench/tracer.py) wraps ``vars(cls)["__call__"]``.
     """
 
     def __init__(self):
         self.training = True
 
-    def named_parameters(self, prefix: str = ""):
+    def _children(self, prefix: str = ""):
+        """(dotted name, value) per attribute and per list/tuple item."""
         for name, value in vars(self).items():
-            key = f"{prefix}{name}"
+            if isinstance(value, (list, tuple)):
+                for i, item in enumerate(value):
+                    yield f"{prefix}{name}.{i}", item
+            else:
+                yield f"{prefix}{name}", value
+
+    def named_parameters(self, prefix: str = ""):
+        for key, value in self._children(prefix):
             if isinstance(value, Tensor) and value.requires_grad:
                 yield key, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(f"{key}.")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{key}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{key}.{i}", item
 
     def train(self, mode: bool = True):
         self.training = mode
-        for value in vars(self).values():
+        for _, value in self._children():
             if isinstance(value, Module):
                 value.train(mode)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item.train(mode)
         return self
 
     def eval(self):
@@ -60,10 +60,8 @@ class Linear(Module):
         self.w = glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.w) + self.b
-
-    __call__ = forward
 
 
 class Conv2d(Module):
@@ -78,11 +76,9 @@ class Conv2d(Module):
         self.w = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.b = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         out = T.conv2d(x, self.w)
         return out + T.reshape(self.b, (-1, 1, 1))
-
-    __call__ = forward
 
 
 class LayerNorm(Module):
@@ -91,10 +87,8 @@ class LayerNorm(Module):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
-
-    __call__ = forward
 
 
 class Dropout(Module):
@@ -102,7 +96,5 @@ class Dropout(Module):
         super().__init__()
         self.rate = rate
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return T.dropout(x, self.rate, self.training, rng)
-
-    __call__ = forward

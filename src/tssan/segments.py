@@ -97,7 +97,6 @@ def sample_segments(pairs: list[tuple[np.ndarray, np.ndarray]], config: TsnConfi
 class TsOutput:
     log_probs: Tensor                       # fused (B, L), prediction head
     head_log_probs: dict[str, Tensor]       # fused per training head
-    segment_logits: np.ndarray              # (K, B, L) detached, prediction head
     traces: list[dict[str, AttentionTrace]] = field(default_factory=list)
 
     @property
@@ -141,11 +140,9 @@ class TsSan(Module):
                              self.config.consensus)
                  for name, logits in heads.items()}
         log_probs = self._prediction_head(fused)
-        segment_logits = out.logits.data.reshape(k, batch, labels_dim)
         traces = [{name: trace.batch_slice(seg * batch, (seg + 1) * batch)
                    for name, trace in out.traces.items()} for seg in range(k)]
-        return TsOutput(log_probs=log_probs, head_log_probs=fused,
-                        segment_logits=segment_logits, traces=traces)
+        return TsOutput(log_probs=log_probs, head_log_probs=fused, traces=traces)
 
     def _prediction_head(self, fused: dict[str, Tensor]) -> Tensor:
         if "main" in fused:
@@ -157,12 +154,10 @@ class TsSan(Module):
                            axis=0)
         return T.logsumexp(stacked, axis=0) + float(-np.log(len(fused)))
 
-    def forward(self, positions: np.ndarray, motions: np.ndarray,
-                rng: np.random.Generator | None = None) -> TsOutput:
+    def __call__(self, positions: np.ndarray, motions: np.ndarray,
+                 rng: np.random.Generator | None = None) -> TsOutput:
         """Single-clip convenience wrapper around :meth:`forward_batch`."""
         return self.forward_batch([(positions, motions)], rng)
-
-    __call__ = forward
 
 
 def ts_loss(output: TsOutput, labels) -> Tensor:

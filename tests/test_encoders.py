@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tssan import tensor as T
-from tssan.encoders import CnnEncoder, FeedForwardEncoder, make_encoder
+from tssan.encoders import CnnEncoder, FeedForwardEncoder
 from tssan.gradcheck import check_parameter_gradients
+from tssan.models import ModelConfig, build_variant
 from tssan.tensor import Tensor, backward
 
 from oracles import conv2d_loops, ff_encode_loops, maxpool_1x2_loops
@@ -40,20 +41,20 @@ class TestFeedForwardEncoder:
 class TestCnnEncoder:
     def test_ntu_shaped_output_width(self):
         # 2 persons x 25 joints -> J' = 50; output must be F x 512 = F x (8*64)
-        enc = CnnEncoder(3, 50, np.random.default_rng(4))
+        enc = CnnEncoder(3, 50, np.random.default_rng(4), 0.5)
         enc.eval()
         out = enc(Tensor(np.random.default_rng(5).normal(size=(1, 32, 50, 3))), None)
         assert out.shape == (1, 32, 512)
 
     def test_output_width_independent_of_geometry(self):
         for joints, coords, frames in [(2, 1, 4), (7, 3, 6), (10, 2, 5)]:
-            enc = CnnEncoder(coords, joints, np.random.default_rng(6))
+            enc = CnnEncoder(coords, joints, np.random.default_rng(6), 0.5)
             enc.eval()
             out = enc(Tensor(np.zeros((2, frames, joints, coords))), None)
             assert out.shape == (2, frames, 512)
 
     def test_zero_input_zero_biases_gives_zero(self):
-        enc = CnnEncoder(3, 4, np.random.default_rng(7))
+        enc = CnnEncoder(3, 4, np.random.default_rng(7), 0.5)
         enc.eval()
         out = enc(Tensor(np.zeros((1, 4, 4, 3))), None)
         np.testing.assert_array_equal(out.data, np.zeros((1, 4, 512)))
@@ -61,7 +62,7 @@ class TestCnnEncoder:
     def test_matches_composed_loop_oracles(self):
         rng = np.random.default_rng(8)
         frames, joints, coords = 4, 2, 1
-        enc = CnnEncoder(coords, joints, rng)
+        enc = CnnEncoder(coords, joints, rng, 0.5)
         enc.eval()
         x = rng.normal(size=(frames, joints, coords))
         out = enc(Tensor(x[None]), None).data[0]
@@ -80,7 +81,7 @@ class TestCnnEncoder:
 
     def test_frame_locality_receptive_field(self):
         rng = np.random.default_rng(9)
-        enc = CnnEncoder(2, 3, rng)
+        enc = CnnEncoder(2, 3, rng, 0.5)
         enc.eval()
         x = rng.normal(size=(1, 12, 3, 2))
         base = enc(Tensor(x), None).data
@@ -93,7 +94,7 @@ class TestCnnEncoder:
 
     def test_eval_mode_deterministic_train_mode_masks(self):
         rng = np.random.default_rng(10)
-        enc = CnnEncoder(2, 2, rng)
+        enc = CnnEncoder(2, 2, rng, 0.5)
         x = Tensor(rng.normal(size=(1, 4, 2, 2)))
         enc.eval()
         a = enc(x, None).data
@@ -106,7 +107,7 @@ class TestCnnEncoder:
     def test_gradients_match_finite_differences(self):
         # seed picked away from relu/pool kinks, where central FD is valid
         rng = np.random.default_rng(5)
-        enc = CnnEncoder(1, 2, rng)
+        enc = CnnEncoder(1, 2, rng, 0.5)
         enc.eval()
         x = rng.normal(size=(1, 4, 2, 1))
         mix = Tensor(rng.normal(size=(1, 4, 512)))
@@ -119,9 +120,16 @@ class TestCnnEncoder:
                                            sample=40, sample_seed=7)
         assert max(errors.values()) <= 1e-5, errors
 
-    def test_make_encoder_dispatch(self):
-        assert isinstance(make_encoder("ff", 3, 4, np.random.default_rng(0)),
-                          FeedForwardEncoder)
-        assert isinstance(make_encoder("cnn", 3, 4, np.random.default_rng(0)), CnnEncoder)
-        with pytest.raises(ValueError):
-            make_encoder("rnn", 3, 4, np.random.default_rng(0))
+    def test_model_config_selects_encoder(self):
+        def built(encoder):
+            config = ModelConfig(variant="v1", encoder=encoder, num_labels=2, joints=4,
+                                 coords=3, persons=1, frames=4, san_layers=1, san_heads=2,
+                                 ff_coord_width=2, conv_dropout=0.3)
+            return build_variant(config, np.random.default_rng(0)).encoder
+
+        ff = built("ff")
+        assert isinstance(ff, FeedForwardEncoder) and ff.proj.w.shape == (3, 2)
+        cnn = built("cnn")
+        assert isinstance(cnn, CnnEncoder) and cnn.joints_in == 8 and cnn.drop.rate == 0.3
+        with pytest.raises(ValueError, match="encoder must be one of"):
+            built("rnn")

@@ -179,12 +179,12 @@ class TestTsSan:
         np.testing.assert_allclose(fused.log_probs.data,
                                    T.log_softmax(direct.logits).data, atol=1e-12)
 
-    def test_segment_logits_shape_and_traces(self):
+    def test_fused_output_and_per_segment_traces(self):
         rng = np.random.default_rng(7)
         model = _model(segments=3, frames=4)
         model.eval()
         out = model.forward_batch([_pair(rng), _pair(rng)])
-        assert out.segment_logits.shape == (3, 2, 4)
+        assert out.log_probs.shape == (2, 4)
         assert len(out.traces) == 3
         assert out.traces[0]["person0"].stacked.shape[1] == 2
 

@@ -170,6 +170,35 @@ class TestCheckpointContainer:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("header", [
+        {"version": 1, "arrays": []},
+        {"version": 1, "meta": {}},
+        {"version": 1, "meta": {}, "arrays": [{"name": "w", "shape": [1], "nbytes": 8}]},
+    ], ids=["no-meta", "no-arrays", "no-offset"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        import json, struct
+        from tssan.checkpoint import MAGIC
+        blob = json.dumps(header).encode()
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "t.ckpt")
+        save_checkpoint(path, {"w": np.ones(10)}, {})
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_meta_without_configs_rejected(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, {"w": np.ones(2)}, {"epoch": 1})
+        with pytest.raises(CheckpointError, match="lacks .*'configs'"):
+            load_model_from_checkpoint(path)
+
+
 class TestRunTraining:
     def test_two_identical_runs_bit_identical(self, tmp_path):
         samples = _tiny_dataset(tmp_path)
