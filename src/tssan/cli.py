@@ -19,8 +19,8 @@ import numpy as np
 from .data import (SampleFormatError, ValidationError, load_manifest, load_sample,
                    load_samples, make_synthetic_dataset, save_manifest,
                    DatasetManifest, DATASET_KINDS)
-from .models import ModelConfig
-from .segments import TsnConfig
+from .models import ENCODERS, VARIANTS, ModelConfig
+from .segments import CONSENSUS_MODES, TsnConfig
 from .training import (NumericDivergenceError, TrainConfig, evaluate,
                        load_model_from_checkpoint, prepare_samples, run_training)
 from .checkpoint import CheckpointError
@@ -130,10 +130,13 @@ def cmd_prepare(args) -> int:
         if args.val_per_label > 0:
             splits.append(("val", args.val_per_label, args.seed + 1))
         for split, per_label, seed in splits:
-            manifest = make_synthetic_dataset(
-                args.out, num_labels=args.labels, samples_per_label=per_label,
-                frames=args.frames, joints=args.joints, persons=args.persons,
-                coords=args.coords, noise=args.noise, seed=seed, split=split)
+            try:
+                manifest = make_synthetic_dataset(
+                    args.out, num_labels=args.labels, samples_per_label=per_label,
+                    frames=args.frames, joints=args.joints, persons=args.persons,
+                    coords=args.coords, noise=args.noise, seed=seed, split=split)
+            except ValueError as exc:
+                raise CliError(f"prepare --synthetic: {exc}") from exc
             _summarize(manifest, os.path.join(args.out, f"{split}.manifest"))
         return 0
     if not args.input:
@@ -170,10 +173,10 @@ def _add_train(sub):
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="INI config file")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--variant", choices=["v1", "v2", "v3"])
-    p.add_argument("--encoder", choices=["ff", "cnn"])
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--encoder", choices=ENCODERS)
     p.add_argument("--segments", type=int)
-    p.add_argument("--consensus", choices=["avg", "max"])
+    p.add_argument("--consensus", choices=CONSENSUS_MODES)
     p.add_argument("--frames-per-segment", type=int)
     p.add_argument("--san-layers", type=int)
     p.add_argument("--san-heads", type=int)

@@ -66,9 +66,11 @@ class Adam:
         self.weight_decay = float(state["weight_decay"])
         self.beta1, self.beta2 = (float(b) for b in state["betas"])
         self.eps = float(state["eps"])
-        for name in self.params:
+        for name, p in self.params.items():
             self.m[name] = np.array(state["m"][name], dtype=np.float64)
             self.v[name] = np.array(state["v"][name], dtype=np.float64)
+            if not self.m[name].shape == self.v[name].shape == p.data.shape:
+                raise ValueError(f"moment shapes for {name} differ from {p.data.shape}")
 
 
 class PlateauScheduler:

@@ -42,9 +42,7 @@ class TsnConfig:
                              f"got {self.consensus!r}")
 
     def to_dict(self) -> dict:
-        return {"segments": self.segments, "frames_per_segment": self.frames_per_segment,
-                "consensus": self.consensus, "train_crop": list(self.train_crop),
-                "eval_crop": self.eval_crop}
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def segment_spans(frames: int, segments: int) -> list[tuple[int, int]]:

@@ -458,22 +458,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.data.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.data.shape[0]:
         raise ShapeError(f"cross_entropy expects (B, L) logits and (B,) labels, "
                          f"got {logits.data.shape} and {labels.shape}")
-    n, num_labels = logits.data.shape
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= num_labels:
-        raise IndexError(f"labels must lie in [0, {num_labels}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    m = logits.data.max(axis=-1, keepdims=True)
-    shifted = logits.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(n), labels]
-    out_data = np.mean(lse - picked)
-
-    def bwd(g):
-        probs = np.exp(shifted - lse[:, None])
-        probs[np.arange(n), labels] -= 1.0
-        _accumulate(logits, probs * (float(g) / n))
-
-    return _node(out_data, (logits,), bwd)
+    return nll_from_log_probs(log_softmax(logits), labels)
 
 
 def nll_from_log_probs(log_probs: Tensor, labels) -> Tensor:

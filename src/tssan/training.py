@@ -64,13 +64,6 @@ class MetricsRecord:
         return (f"epoch={self.epoch} loss={self.loss!r} top1={self.top1!r} "
                 f"top5={self.top5!r} lr={self.lr!r} seconds={self.seconds!r}")
 
-    @classmethod
-    def parse(cls, line: str) -> "MetricsRecord":
-        fields = dict(part.split("=", 1) for part in line.split())
-        return cls(epoch=int(fields["epoch"]), loss=float(fields["loss"]),
-                   top1=float(fields["top1"]), top5=float(fields["top5"]),
-                   lr=float(fields["lr"]), seconds=float(fields["seconds"]))
-
 
 @dataclass
 class PreparedSample:
@@ -161,51 +154,26 @@ class TrainingRun:
 _META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
 
 
-def _snapshot(model: TsSan, optimizer: Adam, scheduler: PlateauScheduler,
-              rng: np.random.Generator, epoch: int, best_top1: float,
-              configs: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    """Checkpoint meta and arrays; per-parameter optimizer state is stored
-    as ``adam.<field>.<param>`` arrays next to ``param.<param>``."""
-    adam = optimizer.state_dict()
+def save_training_checkpoint(path: str, run: TrainingRun, rng: np.random.Generator,
+                             epoch: int, configs: dict):
+    """The one writer of a run's checkpoint; per-parameter optimizer state is
+    stored as ``adam.<moment>.<param>`` arrays next to ``param.<param>``."""
+    adam = run.optimizer.state_dict()
     moments = {key: adam.pop(key) for key in list(adam) if isinstance(adam[key], dict)}
     arrays = {}
-    for name, p in model.named_parameters():
+    for name, p in run.model.named_parameters():
         arrays[f"param.{name}"] = p.data
         for key, per_param in moments.items():
             arrays[f"adam.{key}.{name}"] = per_param[name]
     meta = {
         "configs": configs,
         "epoch": epoch,
-        "best_top1": best_top1,
+        "best_top1": run.best_top1,
         "adam": adam,
-        "scheduler": scheduler.state_dict(),
+        "scheduler": run.scheduler.state_dict(),
         "rng_state": rng.bit_generator.state,
     }
-    return meta, arrays
-
-
-def save_training_checkpoint(path: str, model: TsSan, optimizer: Adam,
-                             scheduler: PlateauScheduler, rng: np.random.Generator,
-                             epoch: int, best_top1: float, configs: dict):
-    meta, arrays = _snapshot(model, optimizer, scheduler, rng, epoch, best_top1, configs)
     save_checkpoint(path, arrays, meta)
-
-
-def restore_model_arrays(model: TsSan, arrays: dict[str, np.ndarray]):
-    params = dict(model.named_parameters())
-    wanted = {f"param.{name}" for name in params}
-    have = {k for k in arrays if k.startswith("param.")}
-    if wanted != have:
-        raise CheckpointError(f"parameter names disagree with the model: "
-                              f"missing {sorted(wanted - have)[:3]}, "
-                              f"unexpected {sorted(have - wanted)[:3]}")
-    for name, p in params.items():
-        stored = arrays[f"param.{name}"]
-        if stored.shape != p.data.shape:
-            raise CheckpointError(f"shape mismatch for {name}: "
-                                  f"{stored.shape} vs {p.data.shape}")
-    for name, p in params.items():
-        p.data[...] = arrays[f"param.{name}"]
 
 
 def build_ts_model(model_config: ModelConfig, tsn_config: TsnConfig,
@@ -214,17 +182,16 @@ def build_ts_model(model_config: ModelConfig, tsn_config: TsnConfig,
     return TsSan(build_variant(model_config, init_rng), tsn_config)
 
 
-def _load_training_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """load_checkpoint, refusing a meta that lacks a key ``_snapshot`` writes."""
+def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
+    """The one reader, exact inverse of :func:`save_training_checkpoint`:
+    the model with its stored weights, and the meta whose ``adam`` holds the
+    ``adam.<moment>.<param>`` arrays again as ``{moment: {param: array}}``."""
     meta, arrays = load_checkpoint(path)
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise CheckpointError(f"{path}: checkpoint meta lacks {missing}")
-    return meta, arrays
-
-
-def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
-    meta, arrays = _load_training_checkpoint(path)
+    if not isinstance(meta["adam"], dict):
+        raise CheckpointError(f"{path}: meta adam is not an object")
     configs = meta["configs"]
     try:
         model_config = ModelConfig(**configs["model"])
@@ -234,8 +201,25 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unusable configs in meta ({exc!r})") from exc
     model = build_ts_model(model_config, tsn_config, seed)
-    restore_model_arrays(model, arrays)
-    return model, meta
+    params = dict(model.named_parameters())
+    stored = {key[len("param."):]: arr for key, arr in arrays.items()
+              if key.startswith("param.")}
+    if stored.keys() != params.keys():
+        raise CheckpointError(f"{path}: parameter names disagree with the model: "
+                              f"missing {sorted(params.keys() - stored.keys())[:3]}, "
+                              f"unexpected {sorted(stored.keys() - params.keys())[:3]}")
+    for name, p in params.items():
+        if stored[name].shape != p.data.shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}: "
+                                  f"{stored[name].shape} vs {p.data.shape}")
+    for name, p in params.items():
+        p.data[...] = stored[name]
+    moments: dict[str, dict[str, np.ndarray]] = {}
+    for key, arr in arrays.items():
+        if key.startswith("adam."):
+            moment, _, name = key[len("adam."):].partition(".")
+            moments.setdefault(moment, {})[name] = arr
+    return model, {**meta, "adam": {**meta["adam"], **moments}}
 
 
 def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
@@ -248,35 +232,32 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     """
     configs = {"model": model_config.to_dict(), "tsn": tsn_config.to_dict(),
                "train": train_config.to_dict()}
-    model = build_ts_model(model_config, tsn_config, train_config.seed)
+    meta = None
+    if resume_from is None:
+        model = build_ts_model(model_config, tsn_config, train_config.seed)
+    else:
+        model, meta = load_model_from_checkpoint(resume_from)
+        if (model.variant.config, model.config) != (model_config, tsn_config):
+            raise CheckpointError(f"{resume_from}: checkpoint was produced by a "
+                                  f"different model/tsn configuration")
     optimizer = Adam(dict(model.named_parameters()), lr=train_config.lr,
                      weight_decay=train_config.weight_decay)
     scheduler = PlateauScheduler(train_config.lr, patience=train_config.plateau_patience,
                                  factor=train_config.lr_factor)
     rng = np.random.default_rng([train_config.seed, 1])
+    run = TrainingRun(model=model, optimizer=optimizer, scheduler=scheduler)
     start_epoch = 0
-    best_top1 = -1.0
+    if meta is not None:
+        try:
+            optimizer.load_state_dict(meta["adam"])
+            scheduler.load_state_dict(meta["scheduler"])
+            rng.bit_generator.state = meta["rng_state"]
+            start_epoch = int(meta["epoch"])
+            run.best_top1 = float(meta["best_top1"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"{resume_from}: unusable training state in meta "
+                                  f"({exc!r})") from exc
 
-    if resume_from is not None:
-        meta, arrays = _load_training_checkpoint(resume_from)
-        if meta["configs"]["model"] != configs["model"] or \
-                meta["configs"]["tsn"] != configs["tsn"]:
-            raise CheckpointError(f"{resume_from}: checkpoint was produced by a "
-                                  f"different model/tsn configuration")
-        restore_model_arrays(model, arrays)
-        adam = dict(meta["adam"])
-        for key, arr in arrays.items():
-            if key.startswith("adam."):
-                _, moment, name = key.split(".", 2)
-                adam.setdefault(moment, {})[name] = arr
-        optimizer.load_state_dict(adam)
-        scheduler.load_state_dict(meta["scheduler"])
-        rng.bit_generator.state = meta["rng_state"]
-        start_epoch = int(meta["epoch"])
-        best_top1 = float(meta["best_top1"])
-
-    run = TrainingRun(model=model, optimizer=optimizer, scheduler=scheduler,
-                      best_top1=best_top1)
     metrics_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -302,9 +283,7 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
         if top1 > run.best_top1:
             run.best_top1 = top1
             if run.best_path is not None:
-                save_training_checkpoint(run.best_path, model, optimizer, scheduler,
-                                         rng, epoch, run.best_top1, configs)
+                save_training_checkpoint(run.best_path, run, rng, epoch, configs)
         if run.last_path is not None:
-            save_training_checkpoint(run.last_path, model, optimizer, scheduler,
-                                     rng, epoch, run.best_top1, configs)
+            save_training_checkpoint(run.last_path, run, rng, epoch, configs)
     return run

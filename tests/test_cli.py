@@ -77,6 +77,18 @@ class TestPrepare:
         manifest = load_manifest(str(out / "train.manifest"))
         assert len(manifest) == 18  # train + val sample files reindexed
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--per-label", "0", "extents must be positive"),
+        ("--labels", "0", "extents must be positive"),
+        ("--frames", "1", "at least 2 frames"),
+    ], ids=["per-label-0", "labels-0", "frames-1"])
+    def test_bad_synthetic_extent_exits_2(self, tmp_path, capsys, flag, value, message):
+        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--synthetic",
+                       flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: prepare --synthetic: ") and message in err
+
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):
         folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "short.txt": (1, 2)})
         code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))

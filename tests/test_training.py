@@ -130,8 +130,10 @@ class TestMetricsRecord:
     def test_line_roundtrip(self):
         rec = MetricsRecord(epoch=3, loss=1.25, top1=0.5, top5=0.9,
                             lr=1e-4, seconds=2.5)
-        back = MetricsRecord.parse(rec.line())
-        assert back == rec
+        line = rec.line()
+        assert line == "epoch=3 loss=1.25 top1=0.5 top5=0.9 lr=0.0001 seconds=2.5"
+        fields = dict(part.split("=", 1) for part in line.split())
+        assert {k: float(v) for k, v in fields.items()} == vars(rec)
 
 
 class TestCheckpointContainer:
@@ -197,6 +199,34 @@ class TestCheckpointContainer:
         save_checkpoint(path, {"w": np.ones(2)}, {"epoch": 1})
         with pytest.raises(CheckpointError, match="lacks .*'configs'"):
             load_model_from_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("adam", 5, "adam is not an object"),
+        ("scheduler", 5, "unusable training state"),
+        ("rng_state", 5, "unusable training state"),
+        ("epoch", "two", "unusable training state"),
+        ("best_top1", None, "unusable training state"),
+        ("adam.m", None, "unusable training state"),
+        ("adam.v", lambda moment: moment[..., None], "moment shapes .* differ"),
+    ], ids=["adam", "scheduler", "rng_state", "epoch", "best_top1", "missing-moment",
+            "moment-shape"])
+    def test_bad_resume_state_rejected(self, tmp_path, key, value, match):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        meta, arrays = load_checkpoint(run.last_path)
+        if key.startswith("adam."):
+            name = next(k for k in arrays if k.startswith(key + "."))
+            if value is None:
+                del arrays[name]
+            else:
+                arrays[name] = value(arrays[name])
+        else:
+            meta[key] = value
+        save_checkpoint(run.last_path, arrays, meta)
+        _, _, longer = _tiny_configs(epochs=2)
+        with pytest.raises(CheckpointError, match=match):
+            run_training(model_cfg, tsn, longer, samples, resume_from=run.last_path)
 
 
 class TestRunTraining:
