@@ -30,15 +30,15 @@ for name, p in model.named_parameters():
     if name.endswith(".b"):
         p.data += 0.05 * rng.normal(size=p.data.shape)
 positions = rng.normal(size=(16, 2, 4, 3))
-motions = frame_differences(positions)
+clips = [(positions, frame_differences(positions))]
 labels = [2]
 
 
 def loss_value():
-    return ts_loss(model(positions, motions), labels).data
+    return ts_loss(model.forward_batch(clips), labels).data
 
 
-backward(ts_loss(model(positions, motions), labels))
+backward(ts_loss(model.forward_batch(clips), labels))
 params = dict(model.named_parameters())
 print(f"checking {sum(p.data.size for p in params.values())} parameters "
       f"across {len(params)} tensors (sampled)")

@@ -41,17 +41,11 @@ class AttentionTrace:
     """Row-stochastic attention probabilities, one (heads, F, F) matrix set
     per layer per batch entry; rows are query frames."""
 
-    def __init__(self, per_layer: list[np.ndarray]):
-        self.stacked = np.stack(per_layer)  # (layers, B, heads, F, F)
-
-    @classmethod
-    def from_stacked(cls, stacked: np.ndarray) -> "AttentionTrace":
-        trace = cls.__new__(cls)
-        trace.stacked = stacked
-        return trace
+    def __init__(self, stacked: np.ndarray):
+        self.stacked = stacked  # (layers, B, heads, F, F)
 
     def batch_slice(self, start: int, stop: int) -> "AttentionTrace":
-        return AttentionTrace.from_stacked(self.stacked[:, start:stop])
+        return AttentionTrace(self.stacked[:, start:stop])
 
     @property
     def num_layers(self) -> int:
@@ -151,4 +145,4 @@ class SanBlock(Module):
             probs.append(p)
         c = T.concat(outputs, axis=-1)                     # (B, F, H * N)
         pooled = T.tmean(c, axis=1)                        # average over frames
-        return T.relu(self.proj(pooled)), AttentionTrace(probs)
+        return T.relu(self.proj(pooled)), AttentionTrace(np.stack(probs))

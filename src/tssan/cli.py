@@ -38,6 +38,11 @@ _SECTIONS = {"model": ModelConfig, "tsn": TsnConfig, "train": TrainConfig}
 _INFERRED = {"num_labels", "joints", "coords", "persons", "frames"}
 
 
+def _settable(section: str) -> dict:
+    """The config-file keys of a section, which the reader and the echo share."""
+    return {f.name: f for f in dataclass_fields(_SECTIONS[section]) if f.name not in _INFERRED}
+
+
 def _coerce(raw: str, annotation: str, where: str):
     base = annotation.split("[")[0]
     try:
@@ -64,8 +69,7 @@ def read_config_file(path: str) -> dict[str, dict]:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise CliError(f"{path}: unknown config section [{section}]")
-        known = {f.name: f for f in dataclass_fields(_SECTIONS[section])
-                 if f.name not in _INFERRED}
+        known = _settable(section)
         values = {}
         for key, raw in parser.items(section):
             if key not in known:
@@ -80,11 +84,11 @@ def write_config_echo(path: str, model: ModelConfig, tsn: TsnConfig,
     parser = configparser.ConfigParser()
     for name, cfg in (("model", model), ("tsn", tsn), ("train", train)):
         parser[name] = {}
-        for f in dataclass_fields(cfg):
-            value = getattr(cfg, f.name)
+        for key in _settable(name):
+            value = getattr(cfg, key)
             if isinstance(value, tuple):
                 value = ", ".join(repr(v) for v in value)
-            parser[name][f.name] = str(value)
+            parser[name][key] = str(value)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -321,7 +325,7 @@ def cmd_export_attention(args) -> int:
     model.eval()
     (sample,) = _prepare_split([args.sample], [load_sample(args.sample)],
                                model.variant.config, model.config.segments)
-    out = model(sample.positions, sample.motions)
+    out = model.forward_batch([(sample.positions, sample.motions)])
 
     if not 0 <= args.segment < len(out.traces):
         raise CliError(f"segment {args.segment} out of range "

@@ -106,11 +106,14 @@ def resample_frames(array: np.ndarray, target_frames: int) -> np.ndarray:
 
     Source index for output i is i * (F-1) / (target-1); target == F is the
     identity.  Linear interpolation never overshoots per-coordinate bounds.
+    A 1-frame source (a 1-frame segment window) is held: that frame repeated.
     """
     frames = array.shape[0]
-    if frames < 2 or target_frames < 2:
-        raise ValueError(f"resampling needs >= 2 frames on both sides, "
+    if frames < 1 or target_frames < 2:
+        raise ValueError(f"resampling needs >= 1 source and >= 2 target frames, "
                          f"got {frames} -> {target_frames}")
+    if frames == 1:
+        return np.repeat(array, target_frames, axis=0)
     pos = np.arange(target_frames) * ((frames - 1) / (target_frames - 1))
     lo = np.floor(pos).astype(np.int64)
     lo = np.minimum(lo, frames - 2)

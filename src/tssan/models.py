@@ -15,7 +15,7 @@ motion arrays and produce class logits:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,15 +89,16 @@ class ModelConfig:
 
 @dataclass
 class VariantOutput:
-    """Logits of the prediction head plus per-branch extras.
+    """Logits per classifier head plus attention traces per branch.
 
-    ``aux_logits`` carries v3's three training heads; ``traces`` maps branch
-    names (fused / person0.. / position / motion) to attention traces.
+    ``heads`` maps head names to (B, L) logits: ``main`` for v1/v2 and
+    ``position``, ``motion``, ``concat`` for v3; every head is trained.
+    ``traces`` maps branch names (fused / person0.. / position / motion)
+    to attention traces.
     """
 
-    logits: Tensor
-    aux_logits: dict[str, Tensor] = field(default_factory=dict)
-    traces: dict[str, AttentionTrace] = field(default_factory=dict)
+    heads: dict[str, Tensor]
+    traces: dict[str, AttentionTrace]
 
 
 class ClassifierHead(Module):
@@ -167,8 +168,7 @@ class SanV1(Module):
         ], axis=2)
         feats = self.encoder(Tensor(joined), rng)
         o, trace = self.block(feats, rng)
-        logits = self.head(o, rng)
-        return VariantOutput(logits=logits, traces={"fused": trace})
+        return VariantOutput({"main": self.head(o, rng)}, {"fused": trace})
 
 
 class SanV2(Module):
@@ -195,8 +195,7 @@ class SanV2(Module):
         o, trace = self.block(feats, rng)                   # shared weights per person
         per_person = T.reshape(o, (s, b, self.config.block_width))
         merged = T.amax(per_person, axis=0)
-        logits = self.head(merged, rng)
-        return VariantOutput(logits=logits, traces=_person_traces(trace, s, b))
+        return VariantOutput({"main": self.head(merged, rng)}, _person_traces(trace, s, b))
 
 
 class SanV3(Module):
@@ -229,13 +228,12 @@ class SanV3(Module):
         positions, motions = _check_pair(positions, motions, self.config)
         o_pos, trace_pos = self._branch(positions, self.pos_encoder, self.pos_block, rng)
         o_mot, trace_mot = self._branch(motions, self.mot_encoder, self.mot_block, rng)
-        logits = {
+        heads = {
             "position": self.pos_head(o_pos, rng),
             "motion": self.mot_head(o_mot, rng),
             "concat": self.cat_head(T.concat([o_pos, o_mot], axis=-1), rng),
         }
-        return VariantOutput(logits=logits["concat"], aux_logits=logits,
-                             traces={"position": trace_pos, "motion": trace_mot})
+        return VariantOutput(heads, {"position": trace_pos, "motion": trace_mot})
 
 
 def build_variant(config: ModelConfig, rng: np.random.Generator) -> Module:

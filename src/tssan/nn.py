@@ -15,6 +15,7 @@ class Module:
     order, so construction order fixes the (deterministic) parameter order.
     Each subclass defines its own ``__call__`` rather than inheriting one:
     the benchmark's tracer (bench/tracer.py) wraps ``vars(cls)["__call__"]``.
+    ``TsSan`` is the exception: its one entry is ``forward_batch``.
     """
 
     def __init__(self):

@@ -2,16 +2,17 @@
 
 A clip is divided into contiguous near-equal segments; one shared-weight
 variant model scores a fixed-length sample from each; per-segment softmax
-probabilities are fused by elementwise average or maximum (renormalized).
-:func:`sample_segments` is the one path from clips to model input: it
-segments, crops and resamples a whole batch into a segment-major stack.
+probabilities of every head are fused by elementwise average or maximum
+(renormalized).  :meth:`TsSan.forward_batch` is the one path from clips to
+fused predictions, and :func:`sample_segments` the one from clips to model
+input: it segments, crops and resamples a batch into a segment-major stack.
 All fusion runs in log space, so the training loss on fused probabilities
 is numerically stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class TsnConfig:
         if self.consensus not in CONSENSUS_MODES:
             raise ValueError(f"consensus must be one of {CONSENSUS_MODES}, "
                              f"got {self.consensus!r}")
+        self.train_crop = tuple(self.train_crop)   # a JSON list from a checkpoint
+        if len(self.train_crop) != 2 or not 0 < self.train_crop[0] <= self.train_crop[1] <= 1:
+            raise ValueError(f"train_crop must be two ratios lo, hi with "
+                             f"0 < lo <= hi <= 1, got {self.train_crop}")
+        if not 0 < self.eval_crop <= 1:
+            raise ValueError(f"eval_crop must lie in (0, 1], got {self.eval_crop}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -57,12 +64,6 @@ def segment_spans(frames: int, segments: int) -> list[tuple[int, int]]:
         spans.append((start, start + length))
         start += length
     return spans
-
-
-def _resample_to(arr: np.ndarray, target: int) -> np.ndarray:
-    if arr.shape[0] < 2:
-        return np.repeat(arr, target, axis=0)
-    return resample_frames(arr, target)
 
 
 def sample_segments(pairs: list[tuple[np.ndarray, np.ndarray]], config: TsnConfig,
@@ -86,8 +87,8 @@ def sample_segments(pairs: list[tuple[np.ndarray, np.ndarray]], config: TsnConfi
             else:
                 window = center_crop_window(b - a, config.eval_crop)
             frames = slice(a + window.start, a + window.stop)
-            pos_rows[k].append(_resample_to(positions[frames], n))
-            mot_rows[k].append(_resample_to(motions[frames], n))
+            pos_rows[k].append(resample_frames(positions[frames], n))
+            mot_rows[k].append(resample_frames(motions[frames], n))
     return np.stack(sum(pos_rows, [])), np.stack(sum(mot_rows, []))
 
 
@@ -95,17 +96,18 @@ def sample_segments(pairs: list[tuple[np.ndarray, np.ndarray]], config: TsnConfi
 class TsOutput:
     log_probs: Tensor                       # fused (B, L), prediction head
     head_log_probs: dict[str, Tensor]       # fused per training head
-    traces: list[dict[str, AttentionTrace]] = field(default_factory=list)
+    traces: list[dict[str, AttentionTrace]] # per segment, per branch
 
     @property
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_probs.data)
 
 
-def _fuse(log_probs: Tensor, segments: int, batch: int, labels_dim: int,
-          mode: str) -> Tensor:
+def _fuse(log_probs: Tensor, segments: int, mode: str) -> Tensor:
     """(K*B, L) per-segment log-softmax -> (B, L) fused log probabilities."""
-    grouped = T.reshape(log_probs, (segments, batch, labels_dim))
+    rows, labels = log_probs.shape
+    batch = rows // segments
+    grouped = T.reshape(log_probs, (segments, batch, labels))
     if mode == "avg":
         return T.logsumexp(grouped, axis=0) + float(-np.log(segments))
     best = T.amax(grouped, axis=0)          # log of elementwise max probability
@@ -132,30 +134,21 @@ class TsSan(Module):
         batch = len(pairs)
         pos_stack, mot_stack = sample_segments(pairs, self.config, self.training, rng)
         out = self.variant(pos_stack, mot_stack, rng)
-        labels_dim = out.logits.shape[-1]
-        heads = out.aux_logits if out.aux_logits else {"main": out.logits}
-        fused = {name: _fuse(T.log_softmax(logits), k, batch, labels_dim,
-                             self.config.consensus)
-                 for name, logits in heads.items()}
-        log_probs = self._prediction_head(fused)
+        fused = {name: _fuse(T.log_softmax(logits), k, self.config.consensus)
+                 for name, logits in out.heads.items()}
         traces = [{name: trace.batch_slice(seg * batch, (seg + 1) * batch)
                    for name, trace in out.traces.items()} for seg in range(k)]
-        return TsOutput(log_probs=log_probs, head_log_probs=fused, traces=traces)
+        return TsOutput(self._prediction_head(fused), fused, traces)
 
     def _prediction_head(self, fused: dict[str, Tensor]) -> Tensor:
+        """``main`` for v1/v2; v3's ``concat`` head or the mean of its three."""
         if "main" in fused:
             return fused["main"]
-        mode = getattr(self.variant.config, "v3_inference", "concat")
-        if mode == "concat":
+        if self.variant.config.v3_inference == "concat":
             return fused["concat"]
         stacked = T.concat([T.reshape(lp, (1,) + lp.shape) for lp in fused.values()],
                            axis=0)
         return T.logsumexp(stacked, axis=0) + float(-np.log(len(fused)))
-
-    def __call__(self, positions: np.ndarray, motions: np.ndarray,
-                 rng: np.random.Generator | None = None) -> TsOutput:
-        """Single-clip convenience wrapper around :meth:`forward_batch`."""
-        return self.forward_batch([(positions, motions)], rng)
 
 
 def ts_loss(output: TsOutput, labels) -> Tensor:

@@ -145,10 +145,10 @@ class TrainingRun:
     model: TsSan
     optimizer: Adam
     scheduler: PlateauScheduler
+    best_path: str
+    last_path: str
     history: list[MetricsRecord] = field(default_factory=list)
     best_top1: float = -1.0
-    best_path: str | None = None
-    last_path: str | None = None
 
 
 _META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
@@ -195,8 +195,7 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
     configs = meta["configs"]
     try:
         model_config = ModelConfig(**configs["model"])
-        tsn_config = TsnConfig(**{**configs["tsn"],
-                                  "train_crop": tuple(configs["tsn"]["train_crop"])})
+        tsn_config = TsnConfig(**configs["tsn"])
         seed = int(configs["train"]["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unusable configs in meta ({exc!r})") from exc
@@ -224,11 +223,12 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
 
 def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                  train_config: TrainConfig, train_samples: list[PreparedSample],
-                 val_samples: list[PreparedSample] | None = None,
-                 out_dir: str | None = None, resume_from: str | None = None,
-                 quiet: bool = True) -> TrainingRun:
-    """Train to ``epochs``, tracking the best validation top-1.  With no validation split the training split doubles as
-    the plateau/selection metric, which suits overfitting checks.
+                 val_samples: list[PreparedSample] | None = None, *, out_dir: str,
+                 resume_from: str | None = None, quiet: bool = True) -> TrainingRun:
+    """Train to ``epochs``, tracking the best validation top-1, with
+    ``metrics.log``, ``best.ckpt`` and ``last.ckpt`` written to ``out_dir``.
+    With no validation split the training split doubles as the
+    plateau/selection metric, which suits overfitting checks.
     """
     configs = {"model": model_config.to_dict(), "tsn": tsn_config.to_dict(),
                "train": train_config.to_dict()}
@@ -245,7 +245,9 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     scheduler = PlateauScheduler(train_config.lr, patience=train_config.plateau_patience,
                                  factor=train_config.lr_factor)
     rng = np.random.default_rng([train_config.seed, 1])
-    run = TrainingRun(model=model, optimizer=optimizer, scheduler=scheduler)
+    run = TrainingRun(model=model, optimizer=optimizer, scheduler=scheduler,
+                      best_path=os.path.join(out_dir, "best.ckpt"),
+                      last_path=os.path.join(out_dir, "last.ckpt"))
     start_epoch = 0
     if meta is not None:
         try:
@@ -258,13 +260,8 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
             raise CheckpointError(f"{resume_from}: unusable training state in meta "
                                   f"({exc!r})") from exc
 
-    metrics_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.log")
-        run.best_path = os.path.join(out_dir, "best.ckpt")
-        run.last_path = os.path.join(out_dir, "last.ckpt")
-
+    os.makedirs(out_dir, exist_ok=True)
+    metrics_path = os.path.join(out_dir, "metrics.log")
     held_out = val_samples if val_samples else train_samples
     for epoch in range(start_epoch + 1, train_config.epochs + 1):
         t0 = time.perf_counter()
@@ -275,15 +272,12 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                                lr=optimizer.lr, seconds=time.perf_counter() - t0)
         optimizer.lr = scheduler.step(top1)
         run.history.append(record)
-        if metrics_path is not None:
-            with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(record.line() + "\n")
+        with open(metrics_path, "a", encoding="utf-8") as fh:
+            fh.write(record.line() + "\n")
         if not quiet:
             print(record.line(), flush=True)
         if top1 > run.best_top1:
             run.best_top1 = top1
-            if run.best_path is not None:
-                save_training_checkpoint(run.best_path, run, rng, epoch, configs)
-        if run.last_path is not None:
-            save_training_checkpoint(run.last_path, run, rng, epoch, configs)
+            save_training_checkpoint(run.best_path, run, rng, epoch, configs)
+        save_training_checkpoint(run.last_path, run, rng, epoch, configs)
     return run

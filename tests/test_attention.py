@@ -228,7 +228,6 @@ class TestSanBlock:
         assert max(errors.values()) <= 1e-4, errors
 
     def test_attention_trace_accessors(self):
-        arrays = [np.full((2, 3, 4, 4), 0.25) for _ in range(2)]
-        trace = AttentionTrace(arrays)
+        trace = AttentionTrace(np.full((2, 2, 3, 4, 4), 0.25))  # (layers, B, heads, F, F)
         assert trace.num_layers == 2 and trace.heads == 3
         np.testing.assert_array_equal(trace.matrix(1, 2, 1), np.full((4, 4), 0.25))

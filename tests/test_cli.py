@@ -128,6 +128,34 @@ class TestTrainEval:
         echoed = (out / "config.ini").read_text()
         assert "variant = v3" in echoed  # the flag overrode the file
 
+    def test_config_echo_reruns_the_same_training(self, tmp_path, synthetic_dir):
+        first = _quick_train(tmp_path, synthetic_dir)
+        again = tmp_path / "again"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--val", str(synthetic_dir / "val.manifest"), "--out", str(again),
+                       "--config", str(first / "config.ini"), "--quiet")
+        assert code == 0
+        assert (again / "last.ckpt").read_bytes() == (first / "last.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("train_crop", "0.5, 1.0, 0.2", "train_crop must be two ratios"),
+        ("train_crop", "0.9, 0.5", "train_crop must be two ratios"),
+        ("train_crop", "-1, 2", "train_crop must be two ratios"),
+        ("eval_crop", "1.5", "eval_crop must lie in (0, 1]"),
+    ], ids=["three-ratios", "lo-above-hi", "outside-unit", "eval-above-1"])
+    def test_bad_crop_ratio_exits_2(self, tmp_path, synthetic_dir, capsys, key, value,
+                                    message):
+        cfg = tmp_path / "crop.ini"
+        cfg.write_text(f"[tsn]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(out), "--config", str(cfg), "--variant", "v2",
+                       "--encoder", "ff", "--segments", "2", "--frames-per-segment", "4",
+                       "--san-layers", "1", "--san-heads", "2", "--epochs", "1", "--quiet")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, synthetic_dir, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[train]\nlearning_rate = 0.1\n")

@@ -84,8 +84,10 @@ class TestResample:
         assert out.min() >= pos.min() - 1e-15
 
     def test_degenerate_extents_rejected(self):
-        with pytest.raises(ValueError):
-            resample_frames(np.ones((1, 1, 1, 1)), 5)
+        # a 1-frame source is held, not rejected: that frame repeated
+        one_frame = np.arange(6.0).reshape(1, 1, 2, 3)
+        np.testing.assert_array_equal(resample_frames(one_frame, 5),
+                                      np.repeat(one_frame, 5, axis=0))
         with pytest.raises(ValueError):
             resample_frames(np.ones((5, 1, 1, 1)), 1)
 

@@ -42,8 +42,9 @@ class TestShapesAndFiniteness:
         model = build_variant(config, rng)
         model.eval()
         out = model(*_inputs(rng, config))
-        assert out.logits.shape == (2, 4)
-        for logits in out.aux_logits.values():
+        assert list(out.heads) == (["position", "motion", "concat"] if variant == "v3"
+                                   else ["main"])
+        for logits in out.heads.values():
             assert logits.shape == (2, 4)
 
     @pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
@@ -54,7 +55,8 @@ class TestShapesAndFiniteness:
         model.eval()
         zeros = np.zeros((1, 4, 2, 3, 3))
         out = model(zeros, zeros)
-        assert np.all(np.isfinite(out.logits.data))
+        for logits in out.heads.values():
+            assert np.all(np.isfinite(logits.data))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(2)
@@ -91,7 +93,7 @@ class TestV1:
         z = layer_norm_rows(a + ffn, layer.norm2.gamma.data, layer.norm2.beta.data)
         o = np.maximum(0.0, z.mean(axis=0) @ block.proj.w.data + block.proj.b.data)
         logits = np.maximum(0.0, o) @ model.head.linear.w.data + model.head.linear.b.data
-        np.testing.assert_allclose(out.logits.data[0], logits, atol=1e-9)
+        np.testing.assert_allclose(out.heads["main"].data[0], logits, atol=1e-9)
 
 
 class TestV2:
@@ -109,7 +111,7 @@ class TestV2:
                           model.mot_encoder(Tensor(motions[:, :, 0]))], axis=-1)
         o, _ = model.block(feats)
         solo = model.head(o, None)
-        np.testing.assert_array_equal(out.logits.data, solo.data)
+        np.testing.assert_array_equal(out.heads["main"].data, solo.data)
 
     def test_person_swap_is_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -119,7 +121,7 @@ class TestV2:
         positions, motions = _inputs(rng, config)
         out = model(positions, motions)
         swapped = model(positions[:, :, ::-1], motions[:, :, ::-1])
-        np.testing.assert_array_equal(out.logits.data, swapped.logits.data)
+        np.testing.assert_array_equal(out.heads["main"].data, swapped.heads["main"].data)
 
     def test_single_block_parameter_set(self):
         rng = np.random.default_rng(6)
@@ -145,7 +147,7 @@ class TestV2:
         merged = np.maximum(branches[0], branches[1])
         relu = np.maximum(0.0, merged)
         logits = relu @ model.head.linear.w.data + model.head.linear.b.data
-        np.testing.assert_allclose(out.logits.data, logits, atol=1e-9)
+        np.testing.assert_allclose(out.heads["main"].data, logits, atol=1e-9)
 
     def test_per_person_traces_exposed(self):
         rng = np.random.default_rng(8)
@@ -164,9 +166,8 @@ class TestV3:
         model = build_variant(config, rng)
         model.eval()
         out = model(*_inputs(rng, config))
-        assert set(out.aux_logits) == {"position", "motion", "concat"}
+        assert list(out.heads) == ["position", "motion", "concat"]
         assert set(out.traces) == {"position", "motion"}
-        assert out.logits is out.aux_logits["concat"]
 
     def test_person_swap_invariance(self):
         rng = np.random.default_rng(10)
@@ -176,8 +177,8 @@ class TestV3:
         positions, motions = _inputs(rng, config)
         a = model(positions, motions)
         b = model(positions[:, :, ::-1], motions[:, :, ::-1])
-        for key in a.aux_logits:
-            np.testing.assert_array_equal(a.aux_logits[key].data, b.aux_logits[key].data)
+        for key in a.heads:
+            np.testing.assert_array_equal(a.heads[key].data, b.heads[key].data)
 
     def test_summed_loss_closed_form(self):
         # three uniform heads over 4 labels -> total loss 3 * ln 4

@@ -107,11 +107,11 @@ class TestConsensus:
             model = _model(consensus, frames=8)
             model.eval()
             model.config.eval_crop = 1.0
-            fused = model(positions, motions)
+            fused = model.forward_batch([(positions, motions)])
             single = _model(consensus, segments=1, frames=8)
             single.eval()
             single.config.eval_crop = 1.0
-            alone = single(one, one * 0.5)
+            alone = single.forward_batch([(one, one * 0.5)])
             np.testing.assert_allclose(fused.probabilities, alone.probabilities,
                                        atol=1e-12)
 
@@ -119,16 +119,14 @@ class TestConsensus:
         lp = np.log(np.array([[[1 - 1e-12, 1e-12]], [[1e-12, 1 - 1e-12]]]))
         from tssan.segments import _fuse
         from tssan.tensor import Tensor
-        fused = _fuse(Tensor(lp.reshape(2, 2)), segments=2, batch=1,
-                      labels_dim=2, mode="avg")
+        fused = _fuse(Tensor(lp.reshape(2, 2)), segments=2, mode="avg")
         np.testing.assert_allclose(np.exp(fused.data), [[0.5, 0.5]], atol=1e-9)
 
     def test_max_consensus_renormalizes(self):
         from tssan.segments import _fuse
         from tssan.tensor import Tensor
         probs = np.array([[0.7, 0.3], [0.2, 0.8]])
-        fused = _fuse(Tensor(np.log(probs)), segments=2, batch=1,
-                      labels_dim=2, mode="max")
+        fused = _fuse(Tensor(np.log(probs)), segments=2, mode="max")
         np.testing.assert_allclose(np.exp(fused.data), [[0.7 / 1.5, 0.8 / 1.5]],
                                    atol=1e-12)
 
@@ -140,10 +138,10 @@ class TestConsensus:
             model = _model(consensus, frames=8)
             model.eval()
             model.config.eval_crop = 1.0
-            a = model(np.concatenate(segs), np.concatenate(mots))
+            a = model.forward_batch([(np.concatenate(segs), np.concatenate(mots))])
             order = [2, 0, 1]
-            b = model(np.concatenate([segs[i] for i in order]),
-                      np.concatenate([mots[i] for i in order]))
+            b = model.forward_batch([(np.concatenate([segs[i] for i in order]),
+                                      np.concatenate([mots[i] for i in order]))])
             np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
 
     def test_fused_probabilities_are_stochastic(self):
@@ -169,7 +167,7 @@ class TestTsSan:
         model = _model(segments=1, frames=8)
         model.eval()
         positions, motions = _pair(rng, frames=20)
-        fused = model(positions, motions)
+        fused = model.forward_batch([(positions, motions)])
         window = center_crop_window(20, 0.9)
         pos = resample_frames(positions[window], 8)
         mot = resample_frames(motions[window], 8)
@@ -177,7 +175,7 @@ class TestTsSan:
         from tssan.tensor import Tensor
         from tssan import tensor as T
         np.testing.assert_allclose(fused.log_probs.data,
-                                   T.log_softmax(direct.logits).data, atol=1e-12)
+                                   T.log_softmax(direct.heads["main"]).data, atol=1e-12)
 
     def test_fused_output_and_per_segment_traces(self):
         rng = np.random.default_rng(7)
@@ -205,7 +203,7 @@ class TestTsSan:
         rng = np.random.default_rng(10)
         model = _model(variant="v3")
         model.eval()
-        out = model(*_pair(rng))
+        out = model.forward_batch([_pair(rng)])
         assert set(out.head_log_probs) == {"position", "motion", "concat"}
         np.testing.assert_array_equal(out.log_probs.data,
                                       out.head_log_probs["concat"].data)
@@ -214,7 +212,7 @@ class TestTsSan:
         rng = np.random.default_rng(11)
         model = _model(variant="v3", v3_inference="mean")
         model.eval()
-        out = model(*_pair(rng))
+        out = model.forward_batch([_pair(rng)])
         mean_probs = np.mean([np.exp(lp.data) for lp in out.head_log_probs.values()],
                              axis=0)
         np.testing.assert_allclose(out.probabilities, mean_probs, atol=1e-12)

@@ -200,6 +200,16 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="lacks .*'configs'"):
             load_model_from_checkpoint(path)
 
+    def test_stored_bad_crop_ratio_rejected(self, tmp_path):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        meta, arrays = load_checkpoint(run.last_path)
+        meta["configs"]["tsn"]["train_crop"] = [0.9, 0.5]
+        save_checkpoint(run.last_path, arrays, meta)
+        with pytest.raises(CheckpointError, match="unusable configs.*train_crop"):
+            load_model_from_checkpoint(run.last_path)
+
     @pytest.mark.parametrize("key, value, match", [
         ("adam", 5, "adam is not an object"),
         ("scheduler", 5, "unusable training state"),
@@ -226,7 +236,8 @@ class TestCheckpointContainer:
         save_checkpoint(run.last_path, arrays, meta)
         _, _, longer = _tiny_configs(epochs=2)
         with pytest.raises(CheckpointError, match=match):
-            run_training(model_cfg, tsn, longer, samples, resume_from=run.last_path)
+            run_training(model_cfg, tsn, longer, samples, out_dir=str(tmp_path / "resumed"),
+                         resume_from=run.last_path)
 
 
 class TestRunTraining:
@@ -278,6 +289,7 @@ class TestRunTraining:
         other_tsn.segments = 1
         with pytest.raises(CheckpointError, match="different"):
             run_training(other_model, other_tsn, other_train, samples,
+                         out_dir=str(tmp_path / "y"),
                          resume_from=str(tmp_path / "x" / "last.ckpt"))
 
     def test_best_checkpoint_loads_back(self, tmp_path):

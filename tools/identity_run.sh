@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Behaviour-identity run: drive the tssan CLI of one source tree through
+# prepare, train, resume, eval and export-attention on small synthetic data,
+# and leave every output under one directory.
+#
+#   tools/identity_run.sh <repo> <out>
+#
+# <repo> is a checkout whose src/ holds the tssan package; <out> must not
+# exist.  Run it on two checkouts (say, a `git archive` copy of the parent
+# commit and the change) and compare:
+#
+#   diff -r <out-of-parent> <out-of-change>
+#
+# An empty diff means byte-identical checkpoints, metrics, eval output and
+# attention exports.  Wall-clock `seconds=` fields are stripped from
+# metrics.log, and the config.ini echo is dropped: it lists the settings a
+# run was given, not what the run computed.
+#
+# Datasets: a 40-frame set and a 5-frame set; at K=3 segments the 5-frame
+# clips have a 1-frame last segment.  For each set and each of
+# v1/v2/v3 x ff/cnn x avg/max: train 2 epochs, resume to epoch 4, eval
+# best.ckpt on the val split and export every layer's attention of one val
+# sample; plus one v3 run that predicts with v3_inference = mean.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 <repo> <out>" >&2
+    exit 2
+fi
+repo=$(cd "$1" && pwd)
+if [ ! -f "$repo/src/tssan/cli.py" ]; then
+    echo "error: $repo/src/tssan/cli.py not found" >&2
+    exit 2
+fi
+if [ -e "$2" ]; then
+    echo "error: $2 already exists" >&2
+    exit 2
+fi
+mkdir -p "$2"
+cd "$2"    # every path below is relative, so outputs never name <out>
+
+tssan() {
+    PYTHONPATH="$repo/src" python3 -m tssan.cli "$@"
+}
+
+# strip wall-clock time and the config echo from one training directory
+settle() {
+    sed -i 's/ seconds=[^ ]*//' "$1/metrics.log"
+    rm -f "$1/config.ini"
+}
+
+# run <set> <name> <config> <train flags...>: train, resume, eval, export
+run() {
+    local set=$1 name=$2 config=$3
+    shift 3
+    local dir="$set/$name"
+    mkdir -p "$dir"
+    local common=(--data "$set/data/train.manifest" --val "$set/data/val.manifest"
+                  --out "$dir/train" --config "$config" --quiet "$@")
+    tssan train "${common[@]}" --epochs 2 > "$dir/train.txt"
+    tssan train "${common[@]}" --epochs 4 --resume "$dir/train/last.ckpt" > "$dir/resume.txt"
+    settle "$dir/train"
+    tssan eval --checkpoint "$dir/train/best.ckpt" --data "$set/data/val.manifest" \
+        > "$dir/eval.txt"
+    local samples=("$set"/data/val*.txt)
+    tssan export-attention --checkpoint "$dir/train/best.ckpt" --sample "${samples[0]}" \
+        --out "$dir/export" --all-layers > "$dir/export.txt"
+}
+
+cat > base.ini <<'EOF'
+[model]
+ff_coord_width = 4
+[train]
+batch_size = 4
+seed = 5
+EOF
+cat > mean.ini <<'EOF'
+[model]
+ff_coord_width = 4
+v3_inference = mean
+[train]
+batch_size = 4
+seed = 5
+EOF
+
+for frames in 40 5; do
+    set="frames$frames"
+    mkdir -p "$set"
+    tssan prepare --synthetic --out "$set/data" --labels 3 --per-label 4 \
+        --val-per-label 2 --frames "$frames" --joints 4 --persons 2 --coords 3 \
+        --seed 11 > "$set/prepare.txt"
+    for variant in v1 v2 v3; do
+        for encoder in ff cnn; do
+            for consensus in avg max; do
+                run "$set" "$variant-$encoder-$consensus" base.ini \
+                    --variant "$variant" --encoder "$encoder" --consensus "$consensus" \
+                    --segments 3 --frames-per-segment 8 --san-layers 1 --san-heads 2
+            done
+        done
+    done
+    run "$set" v3-ff-avg-mean mean.ini --variant v3 --encoder ff --consensus avg \
+        --segments 3 --frames-per-segment 8 --san-layers 1 --san-heads 2
+done
+echo "identity run of $repo written to $(pwd)"
