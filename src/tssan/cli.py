@@ -21,6 +21,7 @@ from .data import (SampleFormatError, ValidationError, load_manifest, load_sampl
                    DatasetManifest, DATASET_KINDS)
 from .models import ENCODERS, VARIANTS, ModelConfig
 from .segments import CONSENSUS_MODES, TsnConfig
+from .tensor import no_grad
 from .training import (NumericDivergenceError, TrainConfig, evaluate,
                        load_model_from_checkpoint, prepare_samples, run_training)
 from .checkpoint import CheckpointError
@@ -325,7 +326,8 @@ def cmd_export_attention(args) -> int:
     model.eval()
     (sample,) = _prepare_split([args.sample], [load_sample(args.sample)],
                                model.variant.config, model.config.segments)
-    out = model.forward_batch([(sample.positions, sample.motions)])
+    with no_grad():
+        out = model.forward_batch([(sample.positions, sample.motions)])
 
     if not 0 <= args.segment < len(out.traces):
         raise CliError(f"segment {args.segment} out of range "

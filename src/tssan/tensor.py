@@ -12,9 +12,9 @@ broadcasting where noted and raise :class:`ShapeError` otherwise.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -505,11 +505,34 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
+# rows per block of conv2d's shifted GEMMs: a block's operands, sum and
+# scratch (1024 x C float64, 200-512 KB at the encoder's widths) stay in L2
+_CONV_ROW_BLOCK = 1024
+
+
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
-    """Same-padded stride-1 cross-correlation.
+    """Same-padded stride-1 cross-correlation as kh*kw shifted GEMMs.
 
     ``x``: (..., Cin, H, W); ``w``: (Cout, Cin, kh, kw) with odd kernel
     extents so the zero padding is symmetric.  Spatial extents are kept.
+
+    The input is copied once into a zero-padded, channels-inner row buffer
+    ``X`` of shape (B*Hp*Wp + 2*tail, Cin): row ``tail + p`` holds padded
+    position p, and ``tail`` spare zero rows sit at each end.  Tap (u, v)
+    then reads the contiguous slice ``X[s]`` of B*Hp*Wp rows shifted by
+    ``s = (u - ph)*Wp + (v - pw)``, and the output at every padded position
+    is the sum over taps of ``X[s] @ w[:, :, u, v].T``; border positions,
+    whose taps wrap into neighbouring rows, are cropped.
+
+    The backward rule pads the output gradient ``G`` the same way (zero on
+    the border) and sums, per tap, ``dw[:, :, u, v] = (X[s].T @ G).T`` and
+    ``dx += G[-s] @ w[:, :, u, v]`` (the transposed convolution with the
+    flipped kernel), then crops dx.  It keeps only ``X``, about 1.1-1.3x
+    the input, not an im2col matrix kh*kw times the input.
+
+    Every sum runs over blocks of ``_CONV_ROW_BLOCK`` rows, each tap
+    multiplying into one reused scratch block with ``out=``, so no GEMM
+    makes a fresh temporary and the running sums stay in cache.
     """
     x, w = as_tensor(x), as_tensor(w)
     if w.data.ndim != 4:
@@ -522,29 +545,58 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
     lead = x.data.shape[:-3]
     h, width = x.data.shape[-2:]
-    xb = x.data.reshape((-1, cin, h, width))
-    b = xb.shape[0]
     ph, pw = kh // 2, kw // 2
-    padded = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # im2col: one GEMM per conv, rows are output positions.
-    win = sliding_window_view(padded, (kh, kw), axis=(2, 3))     # (b, cin, h, w, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * width, cin * kh * kw)
-    w2 = w.data.reshape(cout, cin * kh * kw)
-    out = (cols @ w2.T).reshape(b, h, width, cout).transpose(0, 3, 1, 2)
+    hp, wp = h + 2 * ph, width + 2 * pw
+    rows = math.prod(lead) * hp * wp
+    tail = ph * wp + pw
+    shifts = [(u - ph) * wp + (v - pw) for u in range(kh) for v in range(kw)]
+    taps = w.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout)
+
+    def interior(flat):
+        # (rows, C) -> (..., H, W, C) view of the unpadded positions
+        return flat.reshape(lead + (hp, wp, flat.shape[-1]))[..., ph:ph + h, pw:pw + width, :]
+
+    def padded_rows(a):
+        buf = np.zeros((rows + 2 * tail, a.shape[-3]))
+        interior(buf[tail:tail + rows])[...] = np.moveaxis(a, -3, -1)
+        return buf
+
+    def shifted_gemms(buf, mats, sign):
+        # sum over taps of the rows shifted by sign*s times mats[tap], cropped;
+        # a block of rows at a time, so the sum and its scratch stay in cache
+        acc = np.empty((rows, mats.shape[-1]))
+        scratch = np.empty((min(rows, _CONV_ROW_BLOCK), mats.shape[-1]))
+        for r0 in range(0, rows, _CONV_ROW_BLOCK):
+            block = acc[r0:r0 + _CONV_ROW_BLOCK]
+            part = scratch[:len(block)]
+            for t, s in enumerate(shifts):
+                lo = tail + sign * s + r0
+                if t == 0:
+                    np.matmul(buf[lo:lo + len(block)], mats[t], out=block)
+                else:
+                    np.matmul(buf[lo:lo + len(block)], mats[t], out=part)
+                    block += part
+        return np.moveaxis(interior(acc), -1, -3)
+
+    xbuf = padded_rows(x.data)
+    out = shifted_gemms(xbuf, taps, 1)
 
     def bwd(g):
-        g2 = g.reshape(b, cout, h, width).transpose(0, 2, 3, 1).reshape(b * h * width, cout)
+        gbuf = padded_rows(g)
         if w.requires_grad:
-            _accumulate(w, (g2.T @ cols).reshape(w.data.shape))
+            dtaps = np.zeros((kh * kw, cin, cout))
+            part = np.empty((cin, cout))
+            for r0 in range(0, rows, _CONV_ROW_BLOCK):
+                grows = gbuf[tail + r0:tail + min(r0 + _CONV_ROW_BLOCK, rows)]
+                for t, s in enumerate(shifts):
+                    lo = tail + s + r0
+                    np.matmul(xbuf[lo:lo + len(grows)].T, grows, out=part)
+                    dtaps[t] += part
+            _accumulate(w, dtaps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:
-            dcols = (g2 @ w2).reshape(b, h, width, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            gpad = np.zeros_like(padded)
-            for u in range(kh):
-                for v in range(kw):
-                    gpad[:, :, u:u + h, v:v + width] += dcols[:, :, :, :, u, v]
-            _accumulate(x, gpad[:, :, ph:ph + h, pw:pw + width].reshape(x.data.shape))
+            _accumulate(x, shifted_gemms(gbuf, taps.transpose(0, 2, 1), -1))
 
-    return _node(out.reshape(lead + (cout, h, width)), (x, w), bwd)
+    return _node(out, (x, w), bwd)
 
 
 def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:

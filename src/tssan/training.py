@@ -23,10 +23,12 @@ from .tensor import backward, no_grad
 
 
 class NumericDivergenceError(RuntimeError):
-    """Loss left the reals; carries the epoch/step where it happened."""
+    """Loss or a gradient left the reals; carries the epoch/step where it
+    happened, and ``what`` names the value (the loss, or the first parameter
+    whose gradient is non-finite)."""
 
-    def __init__(self, epoch: int, step: int, value: float):
-        super().__init__(f"non-finite loss {value} at epoch {epoch} step {step}")
+    def __init__(self, epoch: int, step: int, what: str):
+        super().__init__(f"non-finite {what} at epoch {epoch} step {step}")
         self.epoch = epoch
         self.step = step
 
@@ -103,9 +105,13 @@ def train_epoch(model: TsSan, samples: list[PreparedSample], optimizer: Adam,
         loss = ts_loss(out, [s.label for s in batch])
         value = loss.item()
         if not np.isfinite(value):
-            raise NumericDivergenceError(epoch, step, value)
+            raise NumericDivergenceError(epoch, step, f"loss {value}")
         optimizer.zero_grad()
         backward(loss)
+        # before the step writes a bad gradient into the moments and weights
+        for name, p in optimizer.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericDivergenceError(epoch, step, f"gradient for {name}")
         optimizer.step()
         total += value * len(batch)
         seen += len(batch)

@@ -44,6 +44,28 @@ def conv2d_loops(x, w):
     return out
 
 
+def conv2d_grad_loops(x, w, g):
+    """Gradients of sum(conv2d_loops(x, w) * g) with respect to x and w."""
+    cin, h, width = x.shape
+    cout, cin2, kh, kw = w.shape
+    assert cin == cin2 and g.shape == (cout, h, width)
+    ph, pw = kh // 2, kw // 2
+    dx = np.zeros((cin, h, width))
+    dw = np.zeros((cout, cin, kh, kw))
+    for o in range(cout):
+        for i in range(h):
+            for j in range(width):
+                for c in range(cin):
+                    for u in range(kh):
+                        for v in range(kw):
+                            ii = i + u - ph
+                            jj = j + v - pw
+                            if 0 <= ii < h and 0 <= jj < width:
+                                dx[c, ii, jj] += g[o, i, j] * w[o, c, u, v]
+                                dw[o, c, u, v] += g[o, i, j] * x[c, ii, jj]
+    return dx, dw
+
+
 def maxpool_1x2_loops(x):
     c, h, w = x.shape
     assert w % 2 == 0

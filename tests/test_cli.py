@@ -250,6 +250,33 @@ class TestTrainEval:
         lines = (out / "metrics.log").read_text().splitlines()
         assert len(lines) == 4  # epochs 1-2 then resumed 3-4, appended
 
+    def test_nan_gradient_exits_3(self, tmp_path, synthetic_dir, capsys, monkeypatch):
+        from tssan import training
+        built = []
+        real_build, real_backward = training.build_ts_model, training.backward
+
+        def recording_build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        def poisoned(loss):
+            real_backward(loss)
+            for _, p in built[0].named_parameters():
+                p.grad[...] = np.nan
+
+        monkeypatch.setattr(training, "build_ts_model", recording_build)
+        monkeypatch.setattr(training, "backward", poisoned)
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(tmp_path / "run"), "--variant", "v2",
+                       "--encoder", "ff", "--segments", "2", "--frames-per-segment", "4",
+                       "--san-layers", "1", "--san-heads", "2", "--epochs", "1",
+                       "--batch-size", "4", "--quiet")
+        assert code == 3
+        first = next(name for name, _ in built[0].named_parameters())
+        assert (f"numeric failure: non-finite gradient for {first} at epoch 1 step 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", [[], ["prepare"], ["train"], ["eval"],
@@ -333,3 +360,20 @@ class TestExportAttention:
         assert code == 0
         names = sorted(p.name for p in export.iterdir())
         assert names == ["person1_layer0_head1.csv", "person1_layer0_head1.pgm"]
+
+    def test_export_records_no_autograd_graph(self, tmp_path, trained, monkeypatch):
+        from tssan.segments import TsSan
+        run_dir, sample = trained
+        outputs = []
+        forward = TsSan.forward_batch
+
+        def recording(self, *args, **kwargs):
+            outputs.append(forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(TsSan, "forward_batch", recording)
+        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
+                       "--sample", sample, "--out", str(tmp_path / "maps5"))
+        assert code == 0
+        assert len(outputs) == 1
+        assert not outputs[0].log_probs.requires_grad

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from tssan import tensor as T
 from tssan.gradcheck import numeric_gradient, relative_error
 from tssan.tensor import ShapeError, Tensor, backward
 
-from oracles import conv2d_loops, matmul_loops, maxpool_1x2_loops
+from oracles import conv2d_grad_loops, conv2d_loops, matmul_loops, maxpool_1x2_loops
 
 
 def fd_check(build_loss, leaves, tol=1e-5, eps=1e-5):
@@ -95,6 +97,52 @@ class TestConv2d:
         got = T.conv2d(Tensor(x), Tensor(w)).data
         for i in range(5):
             np.testing.assert_allclose(got[i], conv2d_loops(x[i], w), atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["single", "batched", "batched-permuted"])
+    @pytest.mark.parametrize("extent", [(4, 5), (1, 5), (4, 1)], ids=["4x5", "H1", "W1"])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 1), (1, 3), (3, 3), (5, 3)],
+                             ids=["1x1", "3x1", "1x3", "3x3", "5x3"])
+    def test_forward_and_gradients_match_loop_oracles(self, kernel, extent, layout):
+        # H=1 or W=1 puts the padding wider than the extent, so the shifted
+        # slices reach into the spare zero rows at both ends of the buffer
+        rng = np.random.default_rng(12)
+        cin, cout = 2, 3
+        lead = () if layout == "single" else (2, 3)
+        if layout == "batched-permuted":
+            # channels-inner memory viewed as (..., Cin, H, W), as CnnEncoder passes
+            xd = np.moveaxis(rng.normal(size=lead + extent + (cin,)), -1, -3)
+            assert not xd.flags.c_contiguous
+        else:
+            xd = rng.normal(size=lead + (cin,) + extent)
+        wd = rng.normal(size=(cout, cin) + kernel)
+        gd = rng.normal(size=lead + (cout,) + extent)
+        x = Tensor(xd, requires_grad=True)
+        w = Tensor(wd, requires_grad=True)
+        out = T.conv2d(x, w)
+        backward(T.tsum(out * Tensor(gd)))
+        dw_want = np.zeros_like(wd)
+        for idx in np.ndindex(*lead):
+            np.testing.assert_allclose(out.data[idx], conv2d_loops(xd[idx], wd),
+                                       rtol=0, atol=1e-12)
+            dx_want, dw_part = conv2d_grad_loops(xd[idx], wd, gd[idx])
+            np.testing.assert_allclose(x.grad[idx], dx_want, rtol=0, atol=1e-12)
+            dw_want += dw_part
+        np.testing.assert_allclose(w.grad, dw_want, rtol=0, atol=1e-12)
+
+    def test_backward_keeps_no_column_matrix(self):
+        # the rule may hold the padded input, not a kh*kw-times-larger im2col
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(4, 8, 16, 16)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 8, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert held <= 2 * (x.data.nbytes + out.data.nbytes)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel mismatch"):

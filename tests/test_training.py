@@ -91,6 +91,33 @@ class TestEpochMechanics:
             train_epoch(model, samples, opt, np.random.default_rng(0), 4, epoch=7)
         assert info.value.epoch == 7
 
+    def test_nan_gradient_raises_before_the_step(self, tmp_path, monkeypatch):
+        from tssan import training
+        samples = _tiny_dataset(tmp_path, per_label=2)
+        model_cfg, tsn, train = _tiny_configs()
+        model = build_ts_model(model_cfg, tsn, train.seed)
+        params = dict(model.named_parameters())
+        victim = list(params)[3]
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = Adam(params, lr=1e-3)
+        real_backward = training.backward
+        losses = []
+
+        def poisoned(loss):
+            losses.append(loss.item())
+            real_backward(loss)
+            params[victim].grad.flat[0] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(NumericDivergenceError, match=f"gradient for {victim} ") as info:
+            train_epoch(model, samples, opt, np.random.default_rng(0), 4, epoch=2)
+        assert info.value.epoch == 2 and info.value.step == 0
+        assert len(losses) == 1 and np.isfinite(losses[0])
+        assert opt.step_count == 0
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name])
+            assert not opt.m[name].any() and not opt.v[name].any()
+
 
 class TestEvaluate:
     def test_perfect_and_uniform_predictors(self):
