@@ -8,6 +8,7 @@ Every layer's per-head attention probabilities are kept for export.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def position_embed(x: Tensor, table: Tensor) -> Tensor:
     if frames > table.shape[0]:
         raise ValueError(f"sequence of {frames} frames exceeds the position "
                          f"table length {table.shape[0]}")
-    return x + table[:frames]
+    return x + T.astype(table, x.dtype)[:frames]
 
 
 class MultiHeadAttention(Module):
@@ -93,7 +94,7 @@ class MultiHeadAttention(Module):
         q = split_heads(self.wq(y))
         k = split_heads(self.wk(y))
         v = split_heads(self.wv(y))
-        scores = T.matmul(q, T.permute(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
+        scores = T.matmul(q, T.permute(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(self.head_dim))
         probs = T.softmax(scores)                          # (B, heads, F, F)
         ctx = T.matmul(probs, v)
         ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, f, width))

@@ -1,10 +1,12 @@
 """Self-describing binary checkpoint container.
 
 Layout: an 8-byte magic, a little-endian u64 header length, a JSON header,
-then the raw float64 little-endian tensor payload.  The header carries the
-format version, arbitrary JSON metadata (configs, optimizer scalars, rng
-state, counters), and the name/shape/offset index of every tensor.  Loads
-are all-or-nothing: any inconsistency raises before anything is handed out.
+then the raw float64 little-endian tensor payload: the float64 master
+weights and Adam moments, whatever dtype the model computes in.  The
+header carries the format version, arbitrary JSON metadata (configs,
+optimizer scalars, rng state, counters), and the name/shape/offset index
+of every tensor.  Loads are all-or-nothing: any inconsistency raises
+before anything is handed out.
 """
 
 from __future__ import annotations

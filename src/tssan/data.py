@@ -114,10 +114,14 @@ def resample_frames(array: np.ndarray, target_frames: int) -> np.ndarray:
                          f"got {frames} -> {target_frames}")
     if frames == 1:
         return np.repeat(array, target_frames, axis=0)
-    pos = np.arange(target_frames) * ((frames - 1) / (target_frames - 1))
+    # the clamp keeps a last position that rounds past F-1 from extrapolating
+    pos = np.minimum(np.arange(target_frames) * ((frames - 1) / (target_frames - 1)),
+                     frames - 1)
     lo = np.floor(pos).astype(np.int64)
     lo = np.minimum(lo, frames - 2)
-    w = (pos - lo).reshape((-1,) + (1,) * (array.ndim - 1))
+    # weights in a float array's own dtype, so float32 clips stay float32
+    dtype = array.dtype if array.dtype.kind == "f" else np.float64
+    w = (pos - lo).astype(dtype, copy=False).reshape((-1,) + (1,) * (array.ndim - 1))
     return array[lo] * (1.0 - w) + array[lo + 1] * w
 
 

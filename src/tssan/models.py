@@ -123,8 +123,7 @@ def _encoder(config: ModelConfig, joints: int, rng: np.random.Generator) -> Modu
 
 
 def _check_pair(positions: np.ndarray, motions: np.ndarray, config: ModelConfig):
-    positions = np.asarray(positions, dtype=np.float64)
-    motions = np.asarray(motions, dtype=np.float64)
+    positions, motions = np.asarray(positions), np.asarray(motions)
     if positions.shape != motions.shape:
         raise T.ShapeError(f"position/motion shapes disagree: "
                            f"{positions.shape} vs {motions.shape}")

@@ -100,7 +100,16 @@ class TsOutput:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_probs.data)
+        """Fused (B, L) probabilities in float64, each row renormalised: the
+        exponentials of float32 log-probabilities sum to 1 only within ~1e-7."""
+        p = np.exp(self.log_probs.data.astype(np.float64))
+        return p / p.sum(axis=1, keepdims=True)
+
+
+def _log_mean_exp(stacked: Tensor) -> Tensor:
+    """log of the mean of exp(stacked) over axis 0, in stacked's dtype."""
+    lse = T.logsumexp(stacked, axis=0)
+    return lse + np.asarray(-np.log(stacked.shape[0]), dtype=lse.dtype)
 
 
 def _fuse(log_probs: Tensor, segments: int, mode: str) -> Tensor:
@@ -109,7 +118,7 @@ def _fuse(log_probs: Tensor, segments: int, mode: str) -> Tensor:
     batch = rows // segments
     grouped = T.reshape(log_probs, (segments, batch, labels))
     if mode == "avg":
-        return T.logsumexp(grouped, axis=0) + float(-np.log(segments))
+        return _log_mean_exp(grouped)
     best = T.amax(grouped, axis=0)          # log of elementwise max probability
     norm = T.reshape(T.logsumexp(best, axis=1), (batch, 1))
     return best - norm
@@ -148,7 +157,7 @@ class TsSan(Module):
             return fused["concat"]
         stacked = T.concat([T.reshape(lp, (1,) + lp.shape) for lp in fused.values()],
                            axis=0)
-        return T.logsumexp(stacked, axis=0) + float(-np.log(len(fused)))
+        return _log_mean_exp(stacked)
 
 
 def ts_loss(output: TsOutput, labels) -> Tensor:

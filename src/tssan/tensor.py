@@ -1,9 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 Every operation records its inputs and a backward rule on the produced
 tensor, so the computation graph doubles as the gradient tape.  Calling
 :func:`backward` on a scalar walks that graph once in reverse topological
 order, accumulating into ``.grad`` exactly once per use of each input.
+
+Dtype rules: a tensor keeps the dtype of floating input and stores
+anything else as float64; an op computes in the dtype of its operands;
+a gradient is stored in its tensor's own dtype.  Mixed precision follows
+from these: parameters are float64 master copies, and :func:`astype`
+casts them to the float32 of the activations where they enter compute,
+its backward adding the float32 gradient into the float64 ``.grad``.
 
 Only the operations the models need are provided; shapes follow numpy
 broadcasting where noted and raise :class:`ShapeError` otherwise.
@@ -37,12 +44,17 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus an optional gradient of the same shape."""
+    """A float array plus an optional gradient of the same shape and dtype.
+
+    Floating input keeps its dtype (float32 activations, float64 masters);
+    integer, boolean and Python-scalar input becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
@@ -55,6 +67,10 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
@@ -106,7 +122,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
     # First write copies: backward rules may hand the same array to two
     # parents, and in-place accumulation must never alias another grad.
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -163,6 +179,25 @@ def backward(loss: Tensor):
             # interior nodes: fully consumed once their rule has fired;
             # dropping their grads bounds peak memory on deep graphs
             node.grad = None
+
+
+# ---------------------------------------------------------------------------
+# precision
+
+def astype(x, dtype) -> Tensor:
+    """``x`` in ``dtype``; ``x`` itself when the dtype already matches.
+
+    The backward adds the gradient into ``x.grad`` in ``x``'s own dtype, so
+    a float64 parameter cast to float32 keeps a float64 gradient.
+    """
+    x = as_tensor(x)
+    if x.data.dtype == dtype:
+        return x
+
+    def bwd(g):
+        _accumulate(x, g)
+
+    return _node(x.data.astype(dtype), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +529,8 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
     scale = 1.0 / (1.0 - rate)
-    mask = (rng.random(x.data.shape) >= rate) * scale
+    # float64 draws in every dtype, so a seed fixes the same mask
+    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) * scale
 
     def bwd(g):
         _accumulate(x, g * mask)
@@ -551,21 +587,22 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     tail = ph * wp + pw
     shifts = [(u - ph) * wp + (v - pw) for u in range(kh) for v in range(kw)]
     taps = w.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout)
+    dtype = np.result_type(x.data, w.data)
 
     def interior(flat):
         # (rows, C) -> (..., H, W, C) view of the unpadded positions
         return flat.reshape(lead + (hp, wp, flat.shape[-1]))[..., ph:ph + h, pw:pw + width, :]
 
     def padded_rows(a):
-        buf = np.zeros((rows + 2 * tail, a.shape[-3]))
+        buf = np.zeros((rows + 2 * tail, a.shape[-3]), dtype=dtype)
         interior(buf[tail:tail + rows])[...] = np.moveaxis(a, -3, -1)
         return buf
 
     def shifted_gemms(buf, mats, sign):
         # sum over taps of the rows shifted by sign*s times mats[tap], cropped;
         # a block of rows at a time, so the sum and its scratch stay in cache
-        acc = np.empty((rows, mats.shape[-1]))
-        scratch = np.empty((min(rows, _CONV_ROW_BLOCK), mats.shape[-1]))
+        acc = np.empty((rows, mats.shape[-1]), dtype=dtype)
+        scratch = np.empty((min(rows, _CONV_ROW_BLOCK), mats.shape[-1]), dtype=dtype)
         for r0 in range(0, rows, _CONV_ROW_BLOCK):
             block = acc[r0:r0 + _CONV_ROW_BLOCK]
             part = scratch[:len(block)]
@@ -584,8 +621,8 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     def bwd(g):
         gbuf = padded_rows(g)
         if w.requires_grad:
-            dtaps = np.zeros((kh * kw, cin, cout))
-            part = np.empty((cin, cout))
+            dtaps = np.zeros((kh * kw, cin, cout), dtype=dtype)
+            part = np.empty((cin, cout), dtype=dtype)
             for r0 in range(0, rows, _CONV_ROW_BLOCK):
                 grows = gbuf[tail + r0:tail + min(r0 + _CONV_ROW_BLOCK, rows)]
                 for t, s in enumerate(shifts):
@@ -602,7 +639,10 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:
     """Max pooling with a (1, k) window along the last axis, stride k.
 
-    Gradient routes to the first position of the window maximum.
+    The output is the elementwise maximum of the k strided slices
+    ``x[..., i::k]``.  Gradient routes to the first position of the window
+    maximum: slice i takes it where it equals the maximum and no earlier
+    slice did, and the last slice takes every window still left.
     """
     x = as_tensor(x)
     if window[0] != 1:
@@ -611,13 +651,18 @@ def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:
     width = x.data.shape[-1]
     if width % k != 0:
         raise ShapeError(f"maxpool2d width {width} not divisible by window {k}")
-    grouped = x.data.reshape(x.data.shape[:-1] + (width // k, k))
-    idx = np.expand_dims(np.argmax(grouped, axis=-1), -1)
-    out_data = np.take_along_axis(grouped, idx, axis=-1).squeeze(-1)
+    slices = [x.data[..., i::k] for i in range(k)]
+    out_data = slices[0]
+    for s in slices[1:]:
+        out_data = np.maximum(out_data, s)
 
     def bwd(g):
-        full = np.zeros_like(grouped)
-        np.put_along_axis(full, idx, np.expand_dims(g, -1), axis=-1)
-        _accumulate(x, full.reshape(x.data.shape))
+        full = np.empty_like(x.data)
+        free = np.ones(out_data.shape, dtype=bool)    # windows not yet routed
+        for i, s in enumerate(slices):
+            first = free if i == k - 1 else (s == out_data) & free
+            np.multiply(g, first, out=full[..., i::k])
+            free ^= first
+        _accumulate(x, full)
 
     return _node(out_data, (x,), bwd)

@@ -77,7 +77,11 @@ class PreparedSample:
 
 
 def prepare_samples(samples: list[LabeledSample]) -> list[PreparedSample]:
-    return [PreparedSample(s.clip.positions, frame_differences(s.clip.positions), s.label)
+    """Model input in float32, the dtype the network then computes in (its
+    float64 master weights are cast as they enter).  Motions are
+    differenced in float64 first, then cast."""
+    return [PreparedSample(s.clip.positions.astype(np.float32),
+                           frame_differences(s.clip.positions).astype(np.float32), s.label)
             for s in samples]
 
 

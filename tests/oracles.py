@@ -66,15 +66,35 @@ def conv2d_grad_loops(x, w, g):
     return dx, dw
 
 
-def maxpool_1x2_loops(x):
-    c, h, w = x.shape
-    assert w % 2 == 0
-    out = np.zeros((c, h, w // 2))
-    for ci in range(c):
-        for i in range(h):
-            for j in range(w // 2):
-                out[ci, i, j] = max(x[ci, i, 2 * j], x[ci, i, 2 * j + 1])
-    return out
+def maxpool_loops(x, k):
+    """(1, k) max-pool along the last axis of x (..., W), stride k."""
+    assert x.shape[-1] % k == 0
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.zeros((rows.shape[0], rows.shape[1] // k), dtype=x.dtype)
+    for r in range(rows.shape[0]):
+        for j in range(out.shape[1]):
+            best = rows[r, j * k]
+            for i in range(1, k):
+                if rows[r, j * k + i] > best:
+                    best = rows[r, j * k + i]
+            out[r, j] = best
+    return out.reshape(x.shape[:-1] + (out.shape[1],))
+
+
+def maxpool_grad_loops(x, g, k):
+    """Gradient of sum(maxpool_loops(x, k) * g): each window's g goes to the
+    first position that holds the window's maximum."""
+    rows = x.reshape(-1, x.shape[-1])
+    grows = g.reshape(rows.shape[0], -1)
+    dx = np.zeros_like(rows)
+    for r in range(rows.shape[0]):
+        for j in range(grows.shape[1]):
+            first = j * k
+            for i in range(1, k):
+                if rows[r, j * k + i] > rows[r, first]:
+                    first = j * k + i
+            dx[r, first] = grows[r, j]
+    return dx.reshape(x.shape)
 
 
 def softmax_rows(x):

@@ -83,6 +83,19 @@ class TestResample:
         assert out.max() <= pos.max() + 1e-15
         assert out.min() >= pos.min() - 1e-15
 
+    @pytest.mark.parametrize("frames, target", [(30, 8), (32, 16), (250, 32)])
+    def test_last_frame_is_the_source_last_frame(self, frames, target):
+        # (target-1) * ((frames-1) / (target-1)) rounds past frames-1 here
+        pos = _random_clip(np.random.default_rng(frames), frames=frames).positions
+        np.testing.assert_array_equal(resample_frames(pos, target)[-1], pos[-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_dtype_is_kept(self, dtype):
+        pos = np.arange(8.0, dtype=dtype).reshape(4, 1, 2, 1)
+        out = resample_frames(pos, 7)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out[:, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6])
+
     def test_degenerate_extents_rejected(self):
         # a 1-frame source is held, not rejected: that frame repeated
         one_frame = np.arange(6.0).reshape(1, 1, 2, 3)

@@ -7,7 +7,7 @@ from tssan.gradcheck import check_parameter_gradients
 from tssan.models import ModelConfig, build_variant
 from tssan.tensor import Tensor, backward
 
-from oracles import conv2d_loops, ff_encode_loops, maxpool_1x2_loops
+from oracles import conv2d_loops, ff_encode_loops, maxpool_loops
 
 
 class TestFeedForwardEncoder:
@@ -74,8 +74,8 @@ class TestCnnEncoder:
         h = conv_relu(x.transpose(2, 0, 1), enc.conv1)          # (64, F, J)
         h = conv_relu(h, enc.conv2)                              # (32, F, J)
         h = h.transpose(2, 1, 0)                                 # (J, F, 32)
-        h = maxpool_1x2_loops(conv_relu(h, enc.conv3))           # (32, F, 16)
-        h = maxpool_1x2_loops(conv_relu(h, enc.conv4))           # (64, F, 8)
+        h = maxpool_loops(conv_relu(h, enc.conv3), 2)            # (32, F, 16)
+        h = maxpool_loops(conv_relu(h, enc.conv4), 2)            # (64, F, 8)
         expected = h.transpose(1, 2, 0).reshape(frames, 512)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -1,0 +1,93 @@
+"""Mixed precision: float32 activations and gradients over float64 masters.
+
+The compute dtype follows the model input: ``prepare_samples`` hands the
+network float32 clips, every layer casts its float64 parameters to the
+input's dtype, and the backward adds float32 gradients into float64
+``.grad``.  Float64 input runs the float64 graph.
+"""
+
+import numpy as np
+import pytest
+
+from tssan import tensor as T
+from tssan.models import ModelConfig, build_variant
+from tssan.segments import TsnConfig, TsSan, ts_loss
+from tssan.training import topk_hits
+
+
+def _model(variant, encoder, consensus="avg"):
+    config = ModelConfig(variant=variant, encoder=encoder, num_labels=5, joints=4,
+                         coords=3, persons=2, frames=4, san_layers=1, san_heads=2,
+                         san_ff_width=16, ff_coord_width=4, v3_inference="mean")
+    return TsSan(build_variant(config, np.random.default_rng(1)),
+                 TsnConfig(segments=2, frames_per_segment=4, consensus=consensus))
+
+
+def _clips(dtype, seed=0, lengths=(8, 11, 9)):
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=(f, 2, 4, 3)).astype(dtype),
+             rng.normal(size=(f, 2, 4, 3)).astype(dtype)) for f in lengths]
+
+
+def _graph(*roots):
+    """Every tensor reachable from ``roots`` through the recorded parents."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("encoder", ["ff", "cnn"])
+@pytest.mark.parametrize("consensus", ["avg", "max"])
+def test_float32_input_computes_in_float32_over_float64_masters(variant, encoder,
+                                                                 consensus):
+    model = _model(variant, encoder, consensus)
+    out = model.forward_batch(_clips(np.float32), np.random.default_rng(2))
+    loss = ts_loss(out, [1, 3, 0])
+    params = dict(model.named_parameters())
+    master_ids = {id(p) for p in params.values()}
+    upcast = [(node.shape, node.data.dtype) for node in _graph(loss, out.log_probs)
+              if id(node) not in master_ids and node.data.dtype != np.float32]
+    assert upcast == []
+    T.backward(loss)
+    for name, p in params.items():
+        assert p.data.dtype == np.float64, name
+        assert p.grad is not None and p.grad.dtype == np.float64, name
+
+
+def test_float32_agrees_with_float64():
+    runs = []
+    for dtype in (np.float64, np.float32):
+        model = _model("v3", "cnn")
+        out = model.forward_batch(_clips(dtype, seed=3), np.random.default_rng(2))
+        loss = ts_loss(out, [1, 3, 0])
+        assert loss.data.dtype == dtype
+        T.backward(loss)
+        runs.append((loss.item(), {n: p.grad for n, p in model.named_parameters()}))
+    (loss64, grads64), (loss32, grads32) = runs
+    assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+    for name, g64 in grads64.items():
+        # atol: the key biases' gradient is zero in exact arithmetic (softmax
+        # ignores a per-row shift), so both precisions hold rounding noise
+        np.testing.assert_allclose(grads32[name], g64, rtol=1e-3, atol=1e-6, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", ["v2", "v3"])
+def test_float32_probabilities_are_renormalised_float64(variant):
+    model = _model(variant, "cnn").eval()
+    with T.no_grad():
+        out = model.forward_batch(_clips(np.float32, seed=5, lengths=(8, 11, 9, 14, 10)))
+    assert out.log_probs.data.dtype == np.float32
+    probs = out.probabilities
+    assert probs.dtype == np.float64
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+    order = np.argsort(-probs, axis=1, kind="stable")
+    np.testing.assert_array_equal(order, np.argsort(-out.log_probs.data, axis=1,
+                                                    kind="stable"))
+    labels = np.arange(len(probs)) % probs.shape[1]
+    for k in (1, 3):
+        assert topk_hits(probs, labels, k) == topk_hits(out.log_probs.data, labels, k)

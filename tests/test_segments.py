@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tssan.data import center_crop_window, resample_frames
 from tssan.models import ModelConfig, build_variant
@@ -95,6 +97,49 @@ class TestSampleSegmentFrames:
         for k in range(3):
             np.testing.assert_array_equal(evaluated[k], np.full((4, 1, 2, 3), float(k)))
         np.testing.assert_array_equal(evaluated, trained)
+
+
+@st.composite
+def _segment_batches(draw):
+    """(pairs, config, training, seed): clips of random geometry and length
+    >= K in float32 or float64, with random segment counts and crop ratios;
+    a clip may hold each value for a few frames."""
+    segments = draw(st.integers(1, 4))
+    geometry = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lengths = draw(st.lists(st.integers(segments, 40), min_size=1, max_size=3))
+    lo = draw(st.floats(0.01, 1.0))
+    config = TsnConfig(segments=segments, frames_per_segment=draw(st.integers(2, 9)),
+                       train_crop=(lo, draw(st.floats(lo, 1.0))),
+                       eval_crop=draw(st.floats(0.01, 1.0)))
+    hold = draw(st.integers(1, 3))                 # frames per distinct value
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def clip(frames, scale):
+        values = rng.normal(0.0, scale, size=(-(-frames // hold),) + geometry)
+        return np.repeat(values, hold, axis=0)[:frames].astype(dtype)
+
+    pairs = [(clip(f, 3.0), clip(f, 1.0)) for f in lengths]
+    return pairs, config, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestSampleSegmentsProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_segment_batches())
+    def test_stack_shape_dtype_and_bounds(self, case):
+        pairs, config, training, seed = case
+        stacks = sample_segments(pairs, config, training, np.random.default_rng(seed))
+        k, b, n = config.segments, len(pairs), config.frames_per_segment
+        for which, stack in enumerate(stacks):
+            clips = [pair[which] for pair in pairs]
+            assert stack.shape == (k * b, n) + clips[0].shape[1:]
+            assert stack.dtype == clips[0].dtype
+            for index, clip in enumerate(clips):
+                rows = stack[index::b]          # segment k of this clip is row k*B + b
+                # a*(1-w) + b*w rounds up to an ulp past equal neighbours a == b
+                slack = 2 * np.finfo(clip.dtype).eps * np.abs(clip).max(axis=0)
+                assert (rows >= clip.min(axis=0) - slack).all()
+                assert (rows <= clip.max(axis=0) + slack).all()
 
 
 class TestConsensus:

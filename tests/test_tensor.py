@@ -7,7 +7,8 @@ from tssan import tensor as T
 from tssan.gradcheck import numeric_gradient, relative_error
 from tssan.tensor import ShapeError, Tensor, backward
 
-from oracles import conv2d_grad_loops, conv2d_loops, matmul_loops, maxpool_1x2_loops
+from oracles import (conv2d_grad_loops, conv2d_loops, matmul_loops, maxpool_grad_loops,
+                     maxpool_loops)
 
 
 def fd_check(build_loss, leaves, tol=1e-5, eps=1e-5):
@@ -169,7 +170,7 @@ class TestMaxPool:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(3, 4, 8))
         got = T.maxpool2d(Tensor(x)).data
-        np.testing.assert_array_equal(got, maxpool_1x2_loops(x))
+        np.testing.assert_array_equal(got, maxpool_loops(x, 2))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -180,6 +181,58 @@ class TestMaxPool:
     def test_odd_width_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
             T.maxpool2d(Tensor(np.zeros((1, 2, 5))))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_max_with_ties_matches_loop_oracle(self, k, dtype):
+        rng = np.random.default_rng(20 + k)
+        # ReLU zeros tie whole windows at 0; a half-unit grid ties positives
+        x = np.maximum(np.round(rng.normal(size=(2, 3, 4, 6 * k)) * 2) / 2, 0.0).astype(dtype)
+        g = rng.normal(size=(2, 3, 4, 6)).astype(dtype)
+        windows = x.reshape(-1, k)
+        assert ((windows == windows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        xt = Tensor(x, requires_grad=True)
+        out = T.maxpool2d(xt, (1, k))
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, maxpool_loops(x, k))
+        backward(T.tsum(out * Tensor(g)))
+        assert xt.grad.dtype == dtype
+        np.testing.assert_array_equal(xt.grad, maxpool_grad_loops(x, g, k))
+
+
+class TestDtypeRules:
+    def test_float_input_keeps_its_dtype(self):
+        assert Tensor(np.zeros(3, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.zeros(3)).data.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [[1, 2], np.arange(3), True, 2])
+    def test_non_float_input_becomes_float64(self, value):
+        assert Tensor(value).data.dtype == np.float64
+
+    def test_astype_to_the_same_dtype_is_the_tensor_itself(self):
+        for dtype in (np.float32, np.float64):
+            x = Tensor(np.ones(3, dtype=dtype), requires_grad=True)
+            assert T.astype(x, x.data.dtype) is x
+
+    def test_astype_backward_accumulates_in_the_master_dtype(self):
+        w = Tensor(np.array([0.1, 0.2, 0.3]), requires_grad=True)
+        x = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32))
+        w32 = T.astype(w, np.float32)
+        assert w32.data.dtype == np.float32
+        loss = T.tsum(w32 * x) + T.tsum(T.astype(w, np.float32))
+        assert loss.data.dtype == np.float32
+        backward(loss)
+        assert w.grad.dtype == np.float64
+        np.testing.assert_array_equal(w.grad, [2.0, 3.0, 4.0])
+
+    def test_dropout_mask_is_the_float64_draw_cast(self):
+        x = np.linspace(0.5, 2.0, 200)
+        out64 = T.dropout(Tensor(x), 0.3, True, np.random.default_rng(4)).data
+        out32 = T.dropout(Tensor(x.astype(np.float32)), 0.3, True,
+                          np.random.default_rng(4)).data
+        assert out32.dtype == np.float32
+        np.testing.assert_array_equal(out32 == 0, out64 == 0)
+        np.testing.assert_allclose(out32, out64, rtol=1e-6)
 
 
 class TestSoftmax:
