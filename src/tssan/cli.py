@@ -17,7 +17,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 
 from .data import (SampleFormatError, ValidationError, load_manifest, load_sample,
-                   load_samples, make_synthetic_dataset, save_manifest,
+                   load_samples, make_synthetic_dataset, save_manifest, validate_sample,
                    DatasetManifest, DATASET_KINDS)
 from .models import ENCODERS, VARIANTS, ModelConfig
 from .segments import CONSENSUS_MODES, TsnConfig
@@ -151,19 +151,18 @@ def cmd_prepare(args) -> int:
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".txt"))
     if not names:
         raise CliError(f"no .txt sample files under {args.input}")
-    entries = []
-    max_label = -1
-    for name in names:
-        sample = load_sample(os.path.join(args.input, name))
-        entries.append((os.path.relpath(os.path.join(args.input, name), args.out),
-                        sample.label))
-        max_label = max(max_label, sample.label)
-    num_labels = args.num_labels if args.num_labels else max_label + 1
+    samples = [load_sample(os.path.join(args.input, name)) for name in names]
+    entries = [(os.path.relpath(os.path.join(args.input, name), args.out), sample.label)
+               for name, sample in zip(names, samples)]
+    num_labels = args.num_labels if args.num_labels else max(s.label for s in samples) + 1
     manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
                                split="train", entries=entries, base_dir=args.out)
     path = os.path.join(args.out, "train.manifest")
     save_manifest(path, manifest)
-    load_samples(load_manifest(path))  # validate geometry + labels now
+    # the manifest must read back; its samples are checked as already loaded
+    written = load_manifest(path)
+    for (rel, label), sample in zip(written.entries, samples):
+        validate_sample(written, rel, label, sample)
     _summarize(manifest, path)
     return 0
 

@@ -10,6 +10,7 @@ slots stay at zero; ``segments.sample_segments`` applies them per segment.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,29 +151,60 @@ def center_crop_window(frames: int, ratio: float = 0.9) -> slice:
 # sample and manifest files
 
 def save_sample(path: str, clip: SkeletonClip, label: int):
-    """Text format: header ``F S J C label`` then F*S*J lines of C reals."""
+    """Write one labelled clip as a sample text file.
+
+    Format (UTF-8 text, LF, CRLF or CR line ends): a header line
+    ``F S J C label`` of five integers, then F*S*J data rows of C reals
+    each, the positions in C order (frame, person, joint), values separated
+    by whitespace and spelled as anything Python's ``float`` accepts.  A
+    ``#`` starts a comment that runs to the end of its line; blank and
+    comment-only lines may stand anywhere.  This writer emits each value
+    as ``repr(float)``, so a file reads back bit for bit.
+
+    :func:`load_sample` refuses, with a :class:`SampleFormatError` naming
+    ``file:line``: an empty file; a header that is not five integers, has
+    an extent below 1 or a negative label, or F < 2; a row without exactly
+    C values; a non-numeric or non-finite value; rows beyond F*S*J; and
+    fewer rows than F*S*J (``truncated``, naming the file only).
+    """
     frames, persons, joints, coords = clip.positions.shape
-    rows = clip.positions.reshape(-1, coords)
+    values = clip.positions.ravel().tolist()
+    row = " ".join(["%r"] * coords) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{frames} {persons} {joints} {coords} {label}\n")
-        for row in rows:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(row * (frames * persons * joints) % tuple(values))
 
 
-def _data_lines(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+def _data_lines(lines):
+    """(lineno, line) of every line holding data: comments and blanks dropped."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def load_sample(path: str) -> LabeledSample:
-    lines = _data_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise SampleFormatError(f"{path}:1: empty sample file") from None
+    """Read a sample file (format: :func:`save_sample`) into a labelled clip.
+
+    The data rows are split and converted in bulk.  When their count, a
+    row's width, a value or its finiteness is wrong, :func:`_read_rows`
+    walks the rows one by one to name the first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    bare = _COMMENT.sub("", text) if "#" in text else text
+    # lines end at "\n" only, as in file iteration: other str.split()
+    # whitespace such as "\x0c" or "\x1c" separates values within a line
+    lines = bare.split("\n")
+    widths = list(map(len, map(str.split, lines)))
+    start = next((i for i, w in enumerate(widths) if w), None)
+    if start is None:
+        raise SampleFormatError(f"{path}:1: empty sample file")
+    lineno, header = start + 1, lines[start].strip()
+    del lines                  # freed, so the peak is the text plus its tokens
     parts = header.split()
     if len(parts) != 5:
         raise SampleFormatError(f"{path}:{lineno}: header must be 'F S J C label', got {header!r}")
@@ -187,7 +219,27 @@ def load_sample(path: str) -> LabeledSample:
                                 f"to derive motion, got {frames}")
 
     expected = frames * persons * joints
-    rows = list(lines)                     # (lineno, line) of every data row
+    rows = widths[start + 1:]              # 0 for a blank or comment-only line
+    values = None
+    if set(rows) - {0} == {coords} and len(rows) - rows.count(0) == expected:
+        tokens = bare.split()
+        del tokens[:5]                     # the header's
+        try:
+            # float64 from str calls float() per value, as the row walk does
+            values = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = _read_rows(path, list(_data_lines(text.split("\n")))[1:], expected, coords)
+
+    positions = values.reshape(frames, persons, joints, coords)
+    mask = np.abs(positions).sum(axis=(0, 2, 3)) > 0
+    return LabeledSample(SkeletonClip(positions, mask), label, os.path.basename(path))
+
+
+def _read_rows(path: str, rows, expected: int, coords: int) -> np.ndarray:
+    """(expected, coords) values of the (lineno, line) data rows, read one
+    row at a time; raises a :class:`SampleFormatError` naming the first bad row."""
     values = np.zeros((expected, coords))
     for count, (lineno, line) in enumerate(rows):
         if count >= expected:
@@ -205,10 +257,7 @@ def load_sample(path: str) -> LabeledSample:
     if not finite.all():
         lineno, line = rows[int(np.argmin(finite))]
         raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-
-    positions = values.reshape(frames, persons, joints, coords)
-    mask = np.abs(positions).sum(axis=(0, 2, 3)) > 0
-    return LabeledSample(SkeletonClip(positions, mask), label, os.path.basename(path))
+    return values
 
 
 _MANIFEST_KEYS = ("kind", "num_labels", "split")
@@ -226,7 +275,9 @@ def save_manifest(path: str, manifest: DatasetManifest):
 def load_manifest(path: str) -> DatasetManifest:
     header: dict[str, str] = {}
     entries: list[tuple[str, int]] = []
-    for lineno, line in _data_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = list(_data_lines(fh))
+    for lineno, line in lines:
         fields = line.split("\t")
         if len(fields) != 2:
             raise SampleFormatError(f"{path}:{lineno}: expected 'key<TAB>value', got {line!r}")
@@ -257,19 +308,25 @@ def load_manifest(path: str) -> DatasetManifest:
     return manifest
 
 
+def validate_sample(manifest: DatasetManifest, rel: str, label: int,
+                    sample: LabeledSample):
+    """Check one loaded manifest entry against the manifest's contract."""
+    geometry = DATASET_KINDS[manifest.kind]
+    if sample.label != label:
+        raise ValidationError(f"{rel}: label {sample.label} disagrees with manifest {label}")
+    if not 0 <= label < manifest.num_labels:
+        raise ValidationError(f"{rel}: label {label} outside [0, {manifest.num_labels})")
+    if geometry is not None and (sample.clip.joints, sample.clip.coords) != geometry:
+        raise ValidationError(f"{rel}: geometry {(sample.clip.joints, sample.clip.coords)} "
+                              f"does not match kind {manifest.kind!r} {geometry}")
+
+
 def load_samples(manifest: DatasetManifest) -> list[LabeledSample]:
     """Load and validate every sample against the manifest's contract."""
-    geometry = DATASET_KINDS[manifest.kind]
     samples = []
     for rel, label in manifest.entries:
         sample = load_sample(os.path.join(manifest.base_dir, rel))
-        if sample.label != label:
-            raise ValidationError(f"{rel}: label {sample.label} disagrees with manifest {label}")
-        if not 0 <= label < manifest.num_labels:
-            raise ValidationError(f"{rel}: label {label} outside [0, {manifest.num_labels})")
-        if geometry is not None and (sample.clip.joints, sample.clip.coords) != geometry:
-            raise ValidationError(f"{rel}: geometry {(sample.clip.joints, sample.clip.coords)} "
-                                  f"does not match kind {manifest.kind!r} {geometry}")
+        validate_sample(manifest, rel, label, sample)
         samples.append(sample)
     return samples
 

@@ -161,3 +161,66 @@ def ff_encode_loops(x, w, b):
             proj = np.maximum(0.0, x[t, jj] @ w + b)
             out[t, jj * cp:(jj + 1) * cp] = proj
     return out
+
+
+def load_sample_loops(path):
+    """Sample-file reader, one line at a time: (label, positions (F, S, J, C)).
+
+    Raises ``tssan.data.SampleFormatError`` with the library's file:line
+    wording for every malformed file.
+    """
+    from tssan.data import SampleFormatError
+
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                rows.append((lineno, line))
+    if not rows:
+        raise SampleFormatError(f"{path}:1: empty sample file")
+    (lineno, header), rows = rows[0], rows[1:]
+    parts = header.split()
+    if len(parts) != 5:
+        raise SampleFormatError(f"{path}:{lineno}: header must be 'F S J C label', got {header!r}")
+    try:
+        frames, persons, joints, coords, label = (int(p) for p in parts)
+    except ValueError:
+        raise SampleFormatError(f"{path}:{lineno}: non-integer header field in {header!r}") from None
+    if min(frames, persons, joints, coords) < 1 or label < 0:
+        raise SampleFormatError(f"{path}:{lineno}: header extents must be positive")
+    if frames < 2:
+        raise SampleFormatError(f"{path}:{lineno}: a clip needs at least 2 frames "
+                                f"to derive motion, got {frames}")
+    expected = frames * persons * joints
+    values = np.zeros((expected, coords))
+    for count, (lineno, line) in enumerate(rows):
+        if count >= expected:
+            raise SampleFormatError(f"{path}:{lineno}: trailing data beyond {expected} rows")
+        fields = line.split()
+        if len(fields) != coords:
+            raise SampleFormatError(f"{path}:{lineno}: expected {coords} values, got {len(fields)}")
+        for c, field in enumerate(fields):
+            try:
+                values[count, c] = float(field)
+            except ValueError:
+                raise SampleFormatError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
+    if len(rows) != expected:
+        raise SampleFormatError(f"{path}: truncated: {len(rows)} of {expected} data rows")
+    for count, (lineno, line) in enumerate(rows):
+        for c in range(coords):
+            if not np.isfinite(values[count, c]):
+                raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+    return label, values.reshape(frames, persons, joints, coords)
+
+
+def save_sample_loops(path, positions, label):
+    """Sample-file writer, one value at a time: each value as repr(float)."""
+    frames, persons, joints, coords = positions.shape
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{frames} {persons} {joints} {coords} {label}\n")
+        for f in range(frames):
+            for s in range(persons):
+                for j in range(joints):
+                    row = [repr(float(positions[f, s, j, c])) for c in range(coords)]
+                    fh.write(" ".join(row) + "\n")

@@ -1,3 +1,4 @@
+import builtins
 import os
 
 import numpy as np
@@ -76,6 +77,35 @@ class TestPrepare:
         assert code == 0
         manifest = load_manifest(str(out / "train.manifest"))
         assert len(manifest) == 18  # train + val sample files reindexed
+
+    def test_input_mode_reads_each_sample_once(self, tmp_path, synthetic_dir, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.path.basename(str(file)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code = run_cli("prepare", "--out", str(tmp_path / "indexed"), "--input",
+                       str(synthetic_dir), "--kind", "synthetic")
+        monkeypatch.undo()
+        assert code == 0
+        samples = [name for name in opened if name.endswith(".txt")]
+        assert len(samples) == 18 and len(set(samples)) == 18
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--kind", "ntu"), "a.txt: geometry (2, 2) does not match kind 'ntu' (25, 3)"),
+        (("--num-labels", "1"), "b.txt: label 1 outside [0, 1)"),
+    ], ids=["geometry", "label-range"])
+    def test_input_mode_validation_exits_2(self, tmp_path, capsys, extra, message):
+        folder = _clip_dir(tmp_path, {"a.txt": (3, 2)})
+        clip = SkeletonClip(np.ones((3, 2, 2, 2)), np.ones(2, bool))
+        save_sample(str(folder / "b.txt"), clip, 1)
+        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder),
+                       *extra)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ../clips/{message}\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--per-label", "0", "extents must be positive"),

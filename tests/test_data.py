@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tssan.data import (
     DatasetManifest, SampleFormatError, SkeletonClip, ValidationError,
@@ -7,6 +9,8 @@ from tssan.data import (
     load_samples, make_synthetic_dataset, random_crop_window, resample_frames,
     save_manifest, save_sample,
 )
+
+from oracles import load_sample_loops, save_sample_loops
 
 
 def _clip(positions, mask=None):
@@ -219,6 +223,88 @@ class TestSampleFiles:
                                    entries=[("a.txt", 0)], base_dir=str(tmp_path))
         with pytest.raises(ValidationError, match="geometry"):
             load_samples(manifest)
+
+
+# token spellings float() accepts or refuses, finite or not
+_SPELLINGS = ["1_0", "1_0.2_5", "\u0661\u0662", "\u0663.\u0665", "\uff11", "\u0661_\u0660",
+              "-0", "5.", ".5", "+.5e-1", "1E3", "nan", "-inf", "Infinity", "+NaN",
+              "1e400", "1__0", "abc", "0x10", "1.0.0", "--1", "1\x00", "_1"]
+# str.split() whitespace that is no line break to file iteration
+_SEPARATORS = [" ", "   ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+               "\u3000"]
+_FILLERS = ["", "   ", "\t", "\xa0", "# note", "  # 1 2 3", "#"]
+
+
+@st.composite
+def _sample_texts(draw):
+    """A valid sample file's text, then mutated: layout, spellings, rows."""
+    frames, persons, joints, coords = (draw(st.integers(lo, hi))
+                                       for lo, hi in ((2, 3), (1, 2), (1, 2), (1, 3)))
+    rows_n = frames * persons * joints
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-20, 20).map(float)
+    rows = [[repr(draw(values)) for _ in range(coords)] for _ in range(rows_n)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, coords - 1))] = draw(st.sampled_from(_SPELLINGS))
+    damage = draw(st.sampled_from(["none"] * 3 + ["ragged", "missing", "extra", "empty"]))
+    if damage == "ragged":          # one token moves to another row: same total
+        src, dst = draw(st.permutations(range(rows_n)))[:2]
+        rows[dst].append(rows[src].pop())
+    elif damage == "missing":
+        rows.pop(draw(st.integers(0, rows_n - 1)))
+    elif damage == "extra":
+        rows.insert(draw(st.integers(0, rows_n)), list(draw(st.sampled_from(rows))))
+    header = [str(frames), str(persons), str(joints), str(coords), str(draw(st.integers(0, 4)))]
+    lines = [header] + rows if damage != "empty" else []
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(_SEPARATORS)).join(r)
+             + draw(st.sampled_from(["", "  ", "\t", " # c 1"])) for r in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FILLERS)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+def _read_outcome(read, path):
+    """(label, positions) on success, the SampleFormatError text otherwise."""
+    try:
+        return read(path)
+    except SampleFormatError as exc:
+        return str(exc)
+
+
+class TestSampleFileOracles:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_sample_texts())
+    def test_reader_matches_line_loop_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("sample") / "s.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+        def library(p):
+            sample = load_sample(p)
+            return sample.label, sample.clip.positions
+
+        got, want = _read_outcome(library, str(path)), _read_outcome(load_sample_loops, str(path))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got[0] == want[0]
+            assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 3), (2, 1, 3, 1), (2, 2, 1, 5)])
+    def test_writer_matches_per_value_repr_oracle(self, tmp_path, shape):
+        rng = np.random.default_rng(17)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 3.0, -2.0, 1e22,
+                   2.0 ** 53, 0.1, 1 / 3, np.finfo(float).max, np.finfo(float).tiny]
+        size = int(np.prod(shape))
+        grid = np.round(rng.normal(size=size) * 2.0 ** 20) / 2.0 ** 20
+        flat = np.concatenate([special, grid, rng.normal(size=size) * 1e3])[:size]
+        positions = rng.permutation(flat).reshape(shape)
+        save_sample(str(tmp_path / "lib.txt"), _clip(positions), 7)
+        save_sample_loops(str(tmp_path / "oracle.txt"), positions, 7)
+        assert (tmp_path / "lib.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
 
 class TestSyntheticDataset:

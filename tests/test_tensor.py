@@ -382,6 +382,45 @@ class TestBackward:
         backward(loss)
         np.testing.assert_allclose(x.grad, 2 * 9 * x.data + 3, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_same_tensor_twice_in_one_add(self, dtype):
+        x = Tensor(np.arange(6, dtype=dtype).reshape(2, 3), requires_grad=True)
+        c = np.linspace(-1.0, 1.0, 6).reshape(2, 3).astype(dtype)
+        backward(T.tsum(T.add(x, x) * c))
+        np.testing.assert_array_equal(x.grad, 2 * c)
+
+    def test_zero_d_gradient_is_an_array(self):
+        # g * s on a 0-d gradient is a numpy scalar; .grad stays an ndarray
+        x = Tensor(np.array(2.0), requires_grad=True)
+        backward(T.mul(x, 3.0))
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == () and x.grad == 3.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_gradient_aliases_another(self, dtype):
+        # add hands one upstream gradient to both parents, the broadcast add
+        # reduces it, matmul and mul build fresh ones; p then takes three more
+        # contributions in place, which must reach no other tensor's grad
+        rng = np.random.default_rng(4)
+        p, q = (Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
+                for _ in range(2))
+        r = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)).astype(dtype), requires_grad=True)
+        c, d, e = (rng.normal(size=(3, 4)).astype(dtype) for _ in range(3))
+        t = T.add(T.add(p, q), r)
+        loss = (T.tsum(t * c) + T.tsum(T.matmul(p, w) * d) + T.tsum(p * e)
+                + T.tsum(T.sub(q, p)))
+        backward(loss)
+        tol = {"rtol": 1e-5 if dtype == np.float32 else 1e-12}
+        np.testing.assert_allclose(p.grad, c + d @ w.data.T + e - 1.0, **tol)
+        np.testing.assert_allclose(q.grad, c + 1.0, **tol)
+        np.testing.assert_allclose(r.grad, c.sum(axis=0), **tol)
+        np.testing.assert_allclose(w.grad, p.data.T @ d, **tol)
+        grads = [p.grad, q.grad, r.grad, w.grad]
+        assert all(g.dtype == dtype for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
 
 class TestMiscOps:
     def test_amax_first_index_ties(self):

@@ -20,7 +20,11 @@
 # clips have a 1-frame last segment.  For each set and each of
 # v1/v2/v3 x ff/cnn x avg/max: train 2 epochs, resume to epoch 4, eval
 # best.ckpt on the val split and export every layer's attention of one val
-# sample; plus one v3 run that predicts with v3_inference = mean.
+# sample; plus one v3 run that predicts with v3_inference = mean.  Last,
+# the 5-frame train files are copied with comments, blank lines, CRLF line
+# ends and extra whitespace injected, indexed with prepare --input, and two
+# 5-frame checkpoints are evaluated on them; each eval must print what it
+# prints on the clean files.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -100,5 +104,31 @@ for frames in 40 5; do
     done
     run "$set" v3-ff-avg-mean mean.ini --variant v3 --encoder ff --consensus avg \
         --segments 3 --frames-per-segment 8 --san-layers 1 --san-heads 2
+done
+mkdir -p noisy/input
+python3 - frames5/data noisy/input <<'PY'
+import os
+import sys
+
+src, dst = sys.argv[1:]
+for name in sorted(os.listdir(src)):
+    if not (name.startswith("train_") and name.endswith(".txt")):
+        continue
+    with open(os.path.join(src, name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    out = ["# copy of " + name, ""]
+    for i, line in enumerate(lines):
+        out.append("  " + line.replace(" ", " \t  ") + ("   # note" if i % 7 == 3 else "   "))
+        if i % 5 == 0:
+            out.append("")
+    with open(os.path.join(dst, name), "w", encoding="utf-8", newline="\r\n") as fh:
+        fh.write("\n".join(out) + "\n")
+PY
+tssan prepare --input noisy/input --out noisy/data --kind synthetic > noisy/prepare.txt
+for name in v3-ff-avg v2-cnn-max; do
+    tssan eval --checkpoint "frames5/$name/train/best.ckpt" \
+        --data noisy/data/train.manifest > "noisy/eval-$name.txt"
+    tssan eval --checkpoint "frames5/$name/train/best.ckpt" \
+        --data frames5/data/train.manifest | cmp - "noisy/eval-$name.txt"
 done
 echo "identity run of $repo written to $(pwd)"
