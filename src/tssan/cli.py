@@ -157,12 +157,12 @@ def cmd_prepare(args) -> int:
     num_labels = args.num_labels if args.num_labels else max(s.label for s in samples) + 1
     manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
                                split="train", entries=entries, base_dir=args.out)
+    # the samples are checked as already loaded, before anything is written
+    for (rel, label), sample in zip(entries, samples):
+        validate_sample(manifest, rel, label, sample)
     path = os.path.join(args.out, "train.manifest")
     save_manifest(path, manifest)
-    # the manifest must read back; its samples are checked as already loaded
-    written = load_manifest(path)
-    for (rel, label), sample in zip(written.entries, samples):
-        validate_sample(written, rel, label, sample)
+    load_manifest(path)    # the manifest must read back
     _summarize(manifest, path)
     return 0
 

@@ -183,6 +183,14 @@ def _data_lines(lines):
             yield lineno, line
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SampleFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+
+
 _COMMENT = re.compile(r"#[^\n]*")
 
 
@@ -193,8 +201,7 @@ def load_sample(path: str) -> LabeledSample:
     row's width, a value or its finiteness is wrong, :func:`_read_rows`
     walks the rows one by one to name the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     bare = _COMMENT.sub("", text) if "#" in text else text
     # lines end at "\n" only, as in file iteration: other str.split()
     # whitespace such as "\x0c" or "\x1c" separates values within a line
@@ -275,9 +282,7 @@ def save_manifest(path: str, manifest: DatasetManifest):
 def load_manifest(path: str) -> DatasetManifest:
     header: dict[str, str] = {}
     entries: list[tuple[str, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(_data_lines(fh))
-    for lineno, line in lines:
+    for lineno, line in _data_lines(_read_text(path).split("\n")):
         fields = line.split("\t")
         if len(fields) != 2:
             raise SampleFormatError(f"{path}:{lineno}: expected 'key<TAB>value', got {line!r}")

@@ -56,6 +56,10 @@ class ModelConfig:
             raise ValueError(f"v3_inference must be 'concat' or 'mean', got {self.v3_inference!r}")
         if min(self.num_labels, self.joints, self.coords, self.persons, self.frames) < 1:
             raise ValueError("all model extents must be positive")
+        for name in ("san_dropout", "head_dropout", "conv_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        self.san_config()    # SanConfig's checks: positive extents, heads dividing the width
 
     @property
     def encoder_input_joints(self) -> int:

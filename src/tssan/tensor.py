@@ -4,6 +4,9 @@ Every operation records its inputs and a backward rule on the produced
 tensor, so the computation graph doubles as the gradient tape.  Calling
 :func:`backward` on a scalar walks that graph once in reverse topological
 order, accumulating into ``.grad`` exactly once per use of each input.
+A stored gradient is never written again: a later use replaces ``.grad``
+with a new sum.  So ``.grad`` may be a view of, or the same array as,
+another tensor's gradient, and callers treat it as read-only.
 
 Dtype rules: a tensor keeps the dtype of floating input and stores
 anything else as float64; an op computes in the dtype of its operands;
@@ -118,18 +121,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
-    # A first write copies: backward rules may hand one array (or views of
-    # the upstream gradient) to two parents, and in-place accumulation must
-    # never alias another grad.  A rule passes ``fresh=True`` for an array
-    # it built for this one parent, which nothing else holds; that array is
-    # kept as it is when its dtype already matches (an op on 0-d arrays
-    # yields a numpy scalar, which is still copied into an array).
-    if t.grad is None:
-        keep = fresh and isinstance(g, np.ndarray) and g.dtype == t.data.dtype
-        t.grad = g if keep else np.array(g, dtype=t.data.dtype)
-    else:
-        t.grad += g
+def _accumulate(t: Tensor, g: np.ndarray):
+    # the first contribution is kept as it is, cast only to t's dtype or from
+    # the numpy scalar of a 0-d op; a later one makes a new sum, never +=
+    if t.grad is not None:
+        g = t.grad + g
+    t.grad = np.asarray(g, dtype=t.data.dtype)
 
 
 def _node(data, parents, backward_fn) -> Tensor:
@@ -210,7 +207,6 @@ def astype(x, dtype) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
 
     def bwd(g):
         if a.requires_grad:
@@ -218,20 +214,19 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _node(out_data, (a, b), bwd)
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
 
     def bwd(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    return _node(out_data, (a, b), bwd)
+    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -239,7 +234,7 @@ def mul(a, b) -> Tensor:
         s = float(b)
 
         def bwd_scalar(g):
-            _accumulate(a, g * s, fresh=True)
+            _accumulate(a, g * s)
 
         return _node(a.data * s, (a,), bwd_scalar)
     if isinstance(a, (int, float)):
@@ -249,9 +244,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
 
@@ -261,7 +256,7 @@ def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
 
     def bwd(g):
-        _accumulate(x, g * out_data, fresh=True)
+        _accumulate(x, g * out_data)
 
     return _node(out_data, (x,), bwd)
 
@@ -270,7 +265,7 @@ def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
 
     def bwd(g):
-        _accumulate(x, g / x.data, fresh=True)
+        _accumulate(x, g / x.data)
 
     return _node(np.log(x.data), (x,), bwd)
 
@@ -280,7 +275,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bwd(g):
-        _accumulate(x, g * mask, fresh=True)
+        _accumulate(x, g * mask)
 
     return _node(x.data * mask, (x,), bwd)
 
@@ -316,7 +311,7 @@ def index(x: Tensor, key) -> Tensor:
     def bwd(g):
         full = np.zeros_like(x.data)
         full[key] = g
-        _accumulate(x, full, fresh=True)
+        _accumulate(x, full)
 
     return _node(x.data[key], (x,), bwd)
 
@@ -365,8 +360,7 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     count = int(np.prod([x.data.shape[a] for a in axes]))
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape) / count,
-                    fresh=True)
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape) / count)
 
     return _node(x.data.mean(axis=axes), (x,), bwd)
 
@@ -381,7 +375,7 @@ def amax(x: Tensor, axis: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(x.data)
         np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-        _accumulate(x, full, fresh=True)
+        _accumulate(x, full)
 
     return _node(out_data, (x,), bwd)
 
@@ -395,7 +389,7 @@ def logsumexp(x: Tensor, axis: int) -> Tensor:
     out_data = np.squeeze(np.log(total) + m, axis=axis)
 
     def bwd(g):
-        _accumulate(x, np.expand_dims(g, axis) * shifted / total, fresh=True)
+        _accumulate(x, np.expand_dims(g, axis) * shifted / total)
 
     return _node(out_data, (x,), bwd)
 
@@ -421,9 +415,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bwd_flat(g):
             g2 = g.reshape(-1, b.data.shape[-1])
             if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
             if b.requires_grad:
-                _accumulate(b, a2.T @ g2, fresh=True)
+                _accumulate(b, a2.T @ g2)
 
         return _node(out_data, (a, b), bwd_flat)
 
@@ -431,11 +425,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                        fresh=True)
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
-                        fresh=True)
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -451,7 +443,7 @@ def softmax(x: Tensor) -> Tensor:
     s = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        _accumulate(x, s * (g - (g * s).sum(axis=-1, keepdims=True)), fresh=True)
+        _accumulate(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     return _node(s, (x,), bwd)
 
@@ -464,7 +456,7 @@ def log_softmax(x: Tensor) -> Tensor:
     out_data = shifted - lse
 
     def bwd(g):
-        _accumulate(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True), fresh=True)
+        _accumulate(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _node(out_data, (x,), bwd)
 
@@ -483,14 +475,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def bwd(g):
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xh).reshape(-1, dim).sum(axis=0), fresh=True)
+            _accumulate(gamma, (g * xh).reshape(-1, dim).sum(axis=0))
         if beta.requires_grad:
-            _accumulate(beta, g.reshape(-1, dim).sum(axis=0), fresh=True)
+            _accumulate(beta, g.reshape(-1, dim).sum(axis=0))
         if x.requires_grad:
             gh = g * gamma.data
             _accumulate(x, inv * (gh - gh.mean(axis=-1, keepdims=True)
-                                  - xh * (gh * xh).mean(axis=-1, keepdims=True)),
-                        fresh=True)
+                                  - xh * (gh * xh).mean(axis=-1, keepdims=True)))
 
     return _node(gamma.data * xh + beta.data, (x, gamma, beta), bwd)
 
@@ -517,7 +508,7 @@ def nll_from_log_probs(log_probs: Tensor, labels) -> Tensor:
     def bwd(g):
         full = np.zeros_like(log_probs.data)
         full[np.arange(n), labels] = -float(g) / n
-        _accumulate(log_probs, full, fresh=True)
+        _accumulate(log_probs, full)
 
     return _node(out_data, (log_probs,), bwd)
 
@@ -542,7 +533,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) * scale
 
     def bwd(g):
-        _accumulate(x, g * mask, fresh=True)
+        _accumulate(x, g * mask)
 
     return _node(x.data * mask, (x,), bwd)
 
@@ -638,10 +629,9 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
                     lo = tail + s + r0
                     np.matmul(xbuf[lo:lo + len(grows)].T, grows, out=part)
                     dtaps[t] += part
-            _accumulate(w, dtaps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1),
-                        fresh=True)
+            _accumulate(w, dtaps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:
-            _accumulate(x, shifted_gemms(gbuf, taps.transpose(0, 2, 1), -1), fresh=True)
+            _accumulate(x, shifted_gemms(gbuf, taps.transpose(0, 2, 1), -1))
 
     return _node(out, (x, w), bwd)
 
@@ -673,6 +663,6 @@ def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:
             first = free if i == k - 1 else (s == out_data) & free
             np.multiply(g, first, out=full[..., i::k])
             free ^= first
-        _accumulate(x, full, fresh=True)
+        _accumulate(x, full)
 
     return _node(out_data, (x,), bwd)

@@ -106,6 +106,16 @@ class TestPrepare:
                        *extra)
         assert code == 2
         assert capsys.readouterr().err == f"error: ../clips/{message}\n"
+        assert not (tmp_path / "o" / "train.manifest").exists()
+
+    def test_non_utf8_sample_exits_2(self, tmp_path, capsys):
+        folder = _clip_dir(tmp_path, {"a.txt": (3, 2), "b.txt": (3, 2)})
+        with open(folder / "b.txt", "ab") as fh:
+            fh.write(b"\xff")
+        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {folder / 'b.txt'}: not a UTF-8 text "
+                                           f"file (invalid start byte)\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--per-label", "0", "extents must be positive"),
@@ -279,6 +289,34 @@ class TestTrainEval:
         assert code == 0
         lines = (out / "metrics.log").read_text().splitlines()
         assert len(lines) == 4  # epochs 1-2 then resumed 3-4, appended
+
+    def test_non_utf8_manifest_exits_2(self, tmp_path, synthetic_dir, capsys):
+        manifest = synthetic_dir / "train.manifest"
+        with open(manifest, "ab") as fh:
+            fh.write(b"extra.txt\t0\xe9\n")
+        code = run_cli("train", "--data", str(manifest), "--out", str(tmp_path / "run"),
+                       "--variant", "v2", "--encoder", "ff")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: not a UTF-8 text file")
+
+    @pytest.mark.parametrize("flags, ini, message", [
+        (("--san-heads", "7"), "", "width 256 not divisible by 7 heads"),
+        (("--san-layers", "0"), "", "all attention extents must be positive"),
+        ((), "san_dropout = 1.5", "san_dropout must lie in [0, 1), got 1.5"),
+        ((), "head_dropout = -0.1", "head_dropout must lie in [0, 1), got -0.1"),
+    ], ids=["heads-7", "layers-0", "san-dropout", "head-dropout"])
+    def test_bad_model_config_exits_2_before_writing(self, tmp_path, synthetic_dir, capsys,
+                                                     flags, ini, message):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[model]\n{ini}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(out), "--config", str(config), "--variant", "v2",
+                       "--encoder", "ff", "--segments", "2", "--frames-per-segment", "4",
+                       "--epochs", "1", "--quiet", *flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid configuration: {message}")
+        assert not out.exists()
 
     def test_nan_gradient_exits_3(self, tmp_path, synthetic_dir, capsys, monkeypatch):
         from tssan import training

@@ -11,6 +11,7 @@ import pytest
 
 from tssan import tensor as T
 from tssan.models import ModelConfig, build_variant
+from tssan.optim import Adam
 from tssan.segments import TsnConfig, TsSan, ts_loss
 from tssan.training import topk_hits
 
@@ -91,3 +92,33 @@ def test_float32_probabilities_are_renormalised_float64(variant):
     labels = np.arange(len(probs)) % probs.shape[1]
     for k in (1, 3):
         assert topk_hits(probs, labels, k) == topk_hits(out.log_probs.data, labels, k)
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("encoder", ["ff", "cnn"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_stored_gradient_is_written_again(variant, encoder, dtype, monkeypatch):
+    # every gradient is made read-only the moment it is stored, so a backward
+    # rule, a later contribution or the optimizer writing into one raises
+    def step():
+        model = _model(variant, encoder)
+        params = dict(model.named_parameters())
+        optimizer = Adam(params, lr=1e-3, weight_decay=1e-4)
+        out = model.forward_batch(_clips(dtype), np.random.default_rng(2))
+        T.backward(ts_loss(out, [1, 3, 0]))
+        grads = {name: p.grad.copy() for name, p in params.items()}
+        optimizer.step()
+        return grads, {name: p.data for name, p in params.items()}
+
+    want = step()
+    real = T._accumulate
+
+    def read_only(t, *args, **kwargs):
+        real(t, *args, **kwargs)
+        t.grad.setflags(write=False)
+
+    monkeypatch.setattr(T, "_accumulate", read_only)
+    got = step()
+    for expected, actual in zip(want, got):
+        for name, a in expected.items():
+            assert a.dtype == actual[name].dtype and a.tobytes() == actual[name].tobytes(), name

@@ -390,10 +390,14 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, 2 * c)
 
     def test_zero_d_gradient_is_an_array(self):
-        # g * s on a 0-d gradient is a numpy scalar; .grad stays an ndarray
+        # g * s on a 0-d gradient is a numpy scalar; .grad stays an ndarray,
+        # also when a second use adds a numpy scalar to it
         x = Tensor(np.array(2.0), requires_grad=True)
         backward(T.mul(x, 3.0))
         assert isinstance(x.grad, np.ndarray) and x.grad.shape == () and x.grad == 3.0
+        y = Tensor(np.array(2.0), requires_grad=True)
+        backward(T.mul(y, 3.0) + T.mul(y, 4.0))
+        assert isinstance(y.grad, np.ndarray) and y.grad.shape == () and y.grad == 7.0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_no_gradient_aliases_another(self, dtype):

@@ -237,6 +237,18 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="unusable configs.*train_crop"):
             load_model_from_checkpoint(run.last_path)
 
+    @pytest.mark.parametrize("key, value", [("san_heads", 3), ("san_layers", 0),
+                                            ("san_dropout", 1.5), ("head_dropout", -0.1)])
+    def test_stored_bad_model_config_rejected(self, tmp_path, key, value):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        meta, arrays = load_checkpoint(run.last_path)
+        meta["configs"]["model"][key] = value
+        save_checkpoint(run.last_path, arrays, meta)
+        with pytest.raises(CheckpointError, match="unusable configs"):
+            load_model_from_checkpoint(run.last_path)
+
     @pytest.mark.parametrize("key, value, match", [
         ("adam", 5, "adam is not an object"),
         ("scheduler", 5, "unusable training state"),

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Gradient-identity digest: two seeded train steps of the NTU workload.
+
+    python3 tools/grad_digest.py <repo>
+
+<repo> is a checkout holding src/tssan and bench/harness.py.  The script
+builds the benchmark's ``NtuTrain`` workload from that checkout's harness
+(imported, not edited), with BLAS pinned to one thread, and runs two
+steps of forward, backward and ``Adam.step`` (seed 1) for v3/cnn and
+v2/cnn at full NTU geometry and for v1/v2/v3 cnn at the harness's toy
+geometry.  It prints one line per model: the SHA-256 over the loss,
+every parameter's gradient and every weight after each step.  Run it on
+two checkouts (say, a `git archive` copy of the parent commit and the
+change) and compare the lines; about 20 s each on 2 vCPUs.
+
+When to use which check:
+
+- this script, for a change to tensor ops, backward rules, layers or the
+  optimizer: it reaches the full-size shapes (25 joints, 32 frames per
+  segment, 8 heads of width 640, batch 8) that decide GEMM blocking,
+  conv2d row blocks and float32/float64 accumulation order;
+- ``tools/identity_run.sh``, for a change anywhere on the CLI path: it
+  compares every byte that prepare, train, resume, eval and
+  export-attention write, on toy shapes, in about 5 min.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+STEPS = 2
+SEED = 1
+MODELS = [("v3", False), ("v2", False), ("v1", True), ("v2", True), ("v3", True)]
+
+
+def digest(harness, variant: str, toy: bool, work: Path) -> str:
+    workload = harness.NtuTrain(toy)
+    workload.model_config = dataclasses.replace(workload.model_config, variant=variant)
+    state = workload.setup(SEED, work)
+    params = sorted(state["model"].named_parameters())
+    h = hashlib.sha256()
+    for index in range(STEPS):
+        unit = workload.unit(state, index)
+        if unit.problems:
+            raise SystemExit(f"{variant} step {index}: {unit.problems}")
+        h.update(repr(unit.fingerprint).encode())
+        for name, p in params:
+            for arr in (p.grad, p.data):
+                h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+                h.update(arr.tobytes())
+    workload.release(state)
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(f"usage: {Path(sys.argv[0]).name} <repo>", file=sys.stderr)
+        return 2
+    repo = Path(argv[0]).resolve()
+    if not (repo / "bench" / "harness.py").is_file():
+        print(f"error: {repo}/bench/harness.py not found", file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"   # before numpy loads: one thread, one summation order
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    import harness
+    with tempfile.TemporaryDirectory() as work:
+        for variant, toy in MODELS:
+            size = "toy" if toy else "ntu"
+            print(f"{variant}/cnn {size} {digest(harness, variant, toy, Path(work))}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
