@@ -34,8 +34,9 @@ class SanConfig:
             raise ValueError(f"all attention extents must be positive: {self}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by {self.heads} heads")
-        if self.ff_width <= 0:
-            self.ff_width = 2 * self.width
+        if self.ff_width < 0:
+            raise ValueError(f"ff_width must be >= 0, got {self.ff_width}")
+        self.ff_width = self.ff_width or 2 * self.width
 
 
 class AttentionTrace:
@@ -66,7 +67,7 @@ def position_embed(x: Tensor, table: Tensor) -> Tensor:
     if frames > table.shape[0]:
         raise ValueError(f"sequence of {frames} frames exceeds the position "
                          f"table length {table.shape[0]}")
-    return x + T.astype(table, x.dtype)[:frames]
+    return x + (table[:frames] if frames < table.shape[0] else table)
 
 
 class MultiHeadAttention(Module):

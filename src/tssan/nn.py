@@ -1,8 +1,8 @@
 """Minimal parameter-holding modules over the tensor core.
 
-Parameters are float64 master copies.  Each layer casts them to its
-input's dtype as they enter compute (:func:`tensor.astype`, a no-op for
-float64 input), so float32 activations train float64 weights.
+Parameters are float64 master copies.  Each layer hands them to the
+tensor ops as they are; an op computes in the narrowest dtype among its
+operands, so float32 activations train float64 weights.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, T.astype(self.w, x.dtype)) + T.astype(self.b, x.dtype)
+        return T.matmul(x, self.w) + self.b
 
 
 class Conv2d(Module):
@@ -83,8 +83,7 @@ class Conv2d(Module):
         self.b = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.conv2d(x, T.astype(self.w, x.dtype))
-        return out + T.reshape(T.astype(self.b, x.dtype), (-1, 1, 1))
+        return T.conv2d(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -94,7 +93,7 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, T.astype(self.gamma, x.dtype), T.astype(self.beta, x.dtype))
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Dropout(Module):

@@ -8,12 +8,12 @@ A stored gradient is never written again: a later use replaces ``.grad``
 with a new sum.  So ``.grad`` may be a view of, or the same array as,
 another tensor's gradient, and callers treat it as read-only.
 
-Dtype rules: a tensor keeps the dtype of floating input and stores
-anything else as float64; an op computes in the dtype of its operands;
-a gradient is stored in its tensor's own dtype.  Mixed precision follows
-from these: parameters are float64 master copies, and :func:`astype`
-casts them to the float32 of the activations where they enter compute,
-its backward adding the float32 gradient into the float64 ``.grad``.
+Dtype rule: a tensor keeps the dtype of floating input and stores
+anything else as float64, and its gradient is stored in that dtype.  The
+ops that take parameters (:func:`add`, :func:`matmul`, :func:`conv2d`,
+:func:`layer_norm`) compute in the narrowest floating dtype among their
+operands.  So float64 master parameters meet float32 activations in
+float32, and the float32 gradient of a master is stored as float64.
 
 Only the operations the models need are provided; shapes follow numpy
 broadcasting where noted and raise :class:`ShapeError` otherwise.
@@ -149,6 +149,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _narrowest(*tensors) -> list[np.ndarray]:
+    """The tensors' data in their narrowest dtype; arrays already in it are not copied."""
+    dtype = min((t.data.dtype for t in tensors), key=lambda d: d.itemsize)
+    return [t.data.astype(dtype, copy=False) for t in tensors]
+
+
 def backward(loss: Tensor):
     """Populate ``.grad`` on every requires_grad tensor reachable from loss.
 
@@ -184,29 +190,11 @@ def backward(loss: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# precision
-
-def astype(x, dtype) -> Tensor:
-    """``x`` in ``dtype``; ``x`` itself when the dtype already matches.
-
-    The backward adds the gradient into ``x.grad`` in ``x``'s own dtype, so
-    a float64 parameter cast to float32 keeps a float64 gradient.
-    """
-    x = as_tensor(x)
-    if x.data.dtype == dtype:
-        return x
-
-    def bwd(g):
-        _accumulate(x, g)
-
-    return _node(x.data.astype(dtype), (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd = _narrowest(a, b)
 
     def bwd(g):
         if a.requires_grad:
@@ -214,7 +202,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _node(a.data + b.data, (a, b), bwd)
+    return _node(ad + bd, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -365,19 +353,33 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     return _node(x.data.mean(axis=axes), (x,), bwd)
 
 
-def amax(x: Tensor, axis: int) -> Tensor:
-    """Maximum along one axis; gradient routes to the first argmax."""
-    x = as_tensor(x)
-    axis = axis % x.data.ndim
-    idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
-    out_data = np.take_along_axis(x.data, idx, axis=axis).squeeze(axis)
+def _max_of_slices(x: Tensor, slices_of) -> Tensor:
+    """Elementwise maximum of the same-shape views ``slices_of(x.data)``.
+
+    The backward writes through ``slices_of`` of an array shaped like ``x``:
+    slice i takes the gradient where it equals the maximum and no earlier
+    slice did, and the last slice takes every position still left.
+    """
+    slices = slices_of(x.data)
+    out_data = np.maximum(slices[0], slices[-1])    # a new array, also for one slice
+    for s in slices[1:-1]:
+        np.maximum(out_data, s, out=out_data)
 
     def bwd(g):
-        full = np.zeros_like(x.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
+        full = np.empty_like(x.data)
+        free = np.ones(out_data.shape, dtype=bool)    # positions not yet routed
+        for i, (s, dst) in enumerate(zip(slices, slices_of(full))):
+            first = free if i == len(slices) - 1 else (s == out_data) & free
+            np.multiply(g, first, out=dst)
+            free ^= first
         _accumulate(x, full)
 
     return _node(out_data, (x,), bwd)
+
+
+def amax(x: Tensor, axis: int) -> Tensor:
+    """Maximum along one axis; gradient routes to the first maximum."""
+    return _max_of_slices(as_tensor(x), lambda a: list(np.moveaxis(a, axis, 0)))
 
 
 def logsumexp(x: Tensor, axis: int) -> Tensor:
@@ -403,31 +405,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D+ operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}")
+    ad, bd = _narrowest(a, b)
 
-    if a.data.ndim > 2 and b.data.ndim == 2:
+    if ad.ndim > 2 and bd.ndim == 2:
         # stacked input times one weight matrix: flatten the stack so the
         # forward and both backward products are single GEMMs instead of a
         # per-slice loop plus a huge broadcast reduction
-        lead = a.data.shape[:-1]
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        out_data = (a2 @ b.data).reshape(lead + (b.data.shape[-1],))
+        lead = ad.shape[:-1]
+        a2 = ad.reshape(-1, ad.shape[-1])
+        out_data = (a2 @ bd).reshape(lead + (bd.shape[-1],))
 
         def bwd_flat(g):
-            g2 = g.reshape(-1, b.data.shape[-1])
+            g2 = g.reshape(-1, bd.shape[-1])
             if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+                _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
             if b.requires_grad:
                 _accumulate(b, a2.T @ g2)
 
         return _node(out_data, (a, b), bwd_flat)
 
-    out_data = a.data @ b.data
+    out_data = ad @ bd
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -467,8 +470,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     dim = x.data.shape[-1]
     if dim < 2:
         raise ShapeError(f"layer_norm needs a feature axis of length >= 2, got {dim}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+    xd, gd, bd = _narrowest(x, gamma, beta)
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xh = xc * inv
@@ -479,11 +483,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if beta.requires_grad:
             _accumulate(beta, g.reshape(-1, dim).sum(axis=0))
         if x.requires_grad:
-            gh = g * gamma.data
+            gh = g * gd
             _accumulate(x, inv * (gh - gh.mean(axis=-1, keepdims=True)
                                   - xh * (gh * xh).mean(axis=-1, keepdims=True)))
 
-    return _node(gamma.data * xh + beta.data, (x, gamma, beta), bwd)
+    return _node(gd * xh + bd, (x, gamma, beta), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -546,11 +550,12 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 _CONV_ROW_BLOCK = 1024
 
 
-def conv2d(x: Tensor, w: Tensor) -> Tensor:
-    """Same-padded stride-1 cross-correlation as kh*kw shifted GEMMs.
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Same-padded stride-1 cross-correlation as kh*kw shifted GEMMs, plus bias.
 
     ``x``: (..., Cin, H, W); ``w``: (Cout, Cin, kh, kw) with odd kernel
-    extents so the zero padding is symmetric.  Spatial extents are kept.
+    extents so the zero padding is symmetric; ``b``: (Cout,), added at
+    every position of its output channel.  Spatial extents are kept.
 
     The input is copied once into a zero-padded, channels-inner row buffer
     ``X`` of shape (B*Hp*Wp + 2*tail, Cin): row ``tail + p`` holds padded
@@ -570,7 +575,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     multiplying into one reused scratch block with ``out=``, so no GEMM
     makes a fresh temporary and the running sums stay in cache.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-D (Cout, Cin, kh, kw), got {w.data.shape}")
     cout, cin, kh, kw = w.data.shape
@@ -578,6 +583,9 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d kernel extents must be odd, got {(kh, kw)}")
+    if b.data.shape != (cout,):
+        raise ShapeError(f"conv2d bias must be ({cout},), got {b.data.shape}")
+    xd, wd, bd = _narrowest(x, w, b)
 
     lead = x.data.shape[:-3]
     h, width = x.data.shape[-2:]
@@ -586,8 +594,8 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     rows = math.prod(lead) * hp * wp
     tail = ph * wp + pw
     shifts = [(u - ph) * wp + (v - pw) for u in range(kh) for v in range(kw)]
-    taps = w.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout)
-    dtype = np.result_type(x.data, w.data)
+    taps = wd.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout)
+    dtype = xd.dtype
 
     def interior(flat):
         # (rows, C) -> (..., H, W, C) view of the unpadded positions
@@ -615,8 +623,9 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
                     block += part
         return np.moveaxis(interior(acc), -1, -3)
 
-    xbuf = padded_rows(x.data)
+    xbuf = padded_rows(xd)
     out = shifted_gemms(xbuf, taps, 1)
+    out += bd[:, None, None]
 
     def bwd(g):
         gbuf = padded_rows(g)
@@ -632,17 +641,18 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             _accumulate(w, dtaps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:
             _accumulate(x, shifted_gemms(gbuf, taps.transpose(0, 2, 1), -1))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, (cout, 1, 1)).reshape(cout))
 
-    return _node(out, (x, w), bwd)
+    return _node(out, (x, w, b), bwd)
 
 
 def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:
     """Max pooling with a (1, k) window along the last axis, stride k.
 
     The output is the elementwise maximum of the k strided slices
-    ``x[..., i::k]``.  Gradient routes to the first position of the window
-    maximum: slice i takes it where it equals the maximum and no earlier
-    slice did, and the last slice takes every window still left.
+    ``x[..., i::k]``; gradient routes to the first position of the window
+    maximum.
     """
     x = as_tensor(x)
     if window[0] != 1:
@@ -651,18 +661,4 @@ def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:
     width = x.data.shape[-1]
     if width % k != 0:
         raise ShapeError(f"maxpool2d width {width} not divisible by window {k}")
-    slices = [x.data[..., i::k] for i in range(k)]
-    out_data = slices[0]
-    for s in slices[1:]:
-        out_data = np.maximum(out_data, s)
-
-    def bwd(g):
-        full = np.empty_like(x.data)
-        free = np.ones(out_data.shape, dtype=bool)    # windows not yet routed
-        for i, s in enumerate(slices):
-            first = free if i == k - 1 else (s == out_data) & free
-            np.multiply(g, first, out=full[..., i::k])
-            free ^= first
-        _accumulate(x, full)
-
-    return _node(out_data, (x,), bwd)
+    return _max_of_slices(x, lambda a: [a[..., i::k] for i in range(k)])

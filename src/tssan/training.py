@@ -44,8 +44,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.batch_size, self.epochs, self.plateau_patience) <= 0:
+        # comparisons written so that NaN fails them
+        if not all(v > 0 for v in (self.lr, self.batch_size, self.epochs, self.plateau_patience)):
             raise ValueError("lr, batch_size, epochs, patience must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ValueError(f"lr_factor must lie in (0, 1), got {self.lr_factor}")
 

@@ -97,6 +97,24 @@ def maxpool_grad_loops(x, g, k):
     return dx.reshape(x.shape)
 
 
+def amax_loops(x, g, axis):
+    """Maximum of x along ``axis`` and the gradient of sum(max * g): each
+    entry of g goes to the first index along ``axis`` holding the maximum."""
+    moved = np.moveaxis(x, axis, -1)
+    rows = moved.reshape(-1, moved.shape[-1])
+    grows = g.reshape(-1)
+    out = np.zeros(rows.shape[0], dtype=x.dtype)
+    dx = np.zeros_like(rows)
+    for r in range(rows.shape[0]):
+        first = 0
+        for i in range(1, rows.shape[1]):
+            if rows[r, i] > rows[r, first]:
+                first = i
+        out[r] = rows[r, first]
+        dx[r, first] = grows[r]
+    return out.reshape(moved.shape[:-1]), np.moveaxis(dx.reshape(moved.shape), -1, axis)
+
+
 def softmax_rows(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)

@@ -302,13 +302,18 @@ class TestTrainEval:
     @pytest.mark.parametrize("flags, ini, message", [
         (("--san-heads", "7"), "", "width 256 not divisible by 7 heads"),
         (("--san-layers", "0"), "", "all attention extents must be positive"),
-        ((), "san_dropout = 1.5", "san_dropout must lie in [0, 1), got 1.5"),
-        ((), "head_dropout = -0.1", "head_dropout must lie in [0, 1), got -0.1"),
-    ], ids=["heads-7", "layers-0", "san-dropout", "head-dropout"])
+        ((), "[model]\nsan_dropout = 1.5", "san_dropout must lie in [0, 1), got 1.5"),
+        ((), "[model]\nhead_dropout = -0.1", "head_dropout must lie in [0, 1), got -0.1"),
+        ((), "[model]\nsan_ff_width = -512", "ff_width must be >= 0, got -512"),
+        (("--lr", "nan"), "", "lr, batch_size, epochs, patience must be positive"),
+        ((), "[train]\nweight_decay = -1", "weight_decay must be >= 0, got -1.0"),
+    ], ids=["heads-7", "layers-0", "san-dropout", "head-dropout", "ff-width", "lr-nan",
+            "weight-decay"])
     def test_bad_model_config_exits_2_before_writing(self, tmp_path, synthetic_dir, capsys,
                                                      flags, ini, message):
+        # model and train settings alike are refused before config.ini is written
         config = tmp_path / "run.ini"
-        config.write_text(f"[model]\n{ini}\n")
+        config.write_text(f"{ini}\n")
         out = tmp_path / "run"
         code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
                        "--out", str(out), "--config", str(config), "--variant", "v2",

@@ -1,9 +1,10 @@
 """Mixed precision: float32 activations and gradients over float64 masters.
 
 The compute dtype follows the model input: ``prepare_samples`` hands the
-network float32 clips, every layer casts its float64 parameters to the
-input's dtype, and the backward adds float32 gradients into float64
-``.grad``.  Float64 input runs the float64 graph.
+network float32 clips, and the ops that take parameters compute in the
+narrowest dtype among their operands, so the float64 parameters enter
+compute as float32 and the backward stores their float32 gradients as
+float64 ``.grad``.  Float64 input runs the float64 graph.
 """
 
 import numpy as np

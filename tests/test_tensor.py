@@ -7,8 +7,8 @@ from tssan import tensor as T
 from tssan.gradcheck import numeric_gradient, relative_error
 from tssan.tensor import ShapeError, Tensor, backward
 
-from oracles import (conv2d_grad_loops, conv2d_loops, matmul_loops, maxpool_grad_loops,
-                     maxpool_loops)
+from oracles import (amax_loops, conv2d_grad_loops, conv2d_loops, matmul_loops,
+                     maxpool_grad_loops, maxpool_loops)
 
 
 def fd_check(build_loss, leaves, tol=1e-5, eps=1e-5):
@@ -62,42 +62,51 @@ class TestConv2d:
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(1, 4, 6)))
         w = Tensor(np.ones((1, 1, 1, 1)))
-        np.testing.assert_array_equal(T.conv2d(x, w).data, x.data)
+        np.testing.assert_array_equal(T.conv2d(x, w, Tensor([0.25])).data, x.data + 0.25)
 
     def test_zero_kernel(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 4, 4)))
         w = Tensor(np.zeros((3, 2, 3, 3)))
-        np.testing.assert_array_equal(T.conv2d(x, w).data, np.zeros((3, 4, 4)))
+        b = np.array([-1.0, 0.0, 2.5])
+        np.testing.assert_array_equal(T.conv2d(x, w, Tensor(b)).data,
+                                      np.broadcast_to(b[:, None, None], (3, 4, 4)))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
-        got = T.conv2d(Tensor(x), Tensor(w)).data
-        np.testing.assert_allclose(got, conv2d_loops(x, w), rtol=0, atol=1e-12)
+        b = rng.normal(size=3)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(got, conv2d_loops(x, w) + b[:, None, None],
+                                   rtol=0, atol=1e-12)
 
     def test_asymmetric_kernel_matches_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 5, 4))
         w = rng.normal(size=(2, 3, 3, 1))
-        got = T.conv2d(Tensor(x), Tensor(w)).data
-        np.testing.assert_allclose(got, conv2d_loops(x, w), rtol=0, atol=1e-12)
+        b = rng.normal(size=2)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(got, conv2d_loops(x, w) + b[:, None, None],
+                                   rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
         mix = Tensor(rng.normal(size=(3, 4, 4)))
-        fd_check(lambda: T.tsum(T.conv2d(x, w) * mix), [x, w], tol=1e-6)
+        fd_check(lambda: T.tsum(T.conv2d(x, w, b) * mix), [x, w, b], tol=1e-6)
 
     def test_batched_leading_dims(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
-        got = T.conv2d(Tensor(x), Tensor(w)).data
+        b = rng.normal(size=3)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         for i in range(5):
-            np.testing.assert_allclose(got[i], conv2d_loops(x[i], w), atol=1e-12)
+            np.testing.assert_allclose(got[i], conv2d_loops(x[i], w) + b[:, None, None],
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("layout", ["single", "batched", "batched-permuted"])
     @pytest.mark.parametrize("extent", [(4, 5), (1, 5), (4, 1)], ids=["4x5", "H1", "W1"])
@@ -116,29 +125,37 @@ class TestConv2d:
         else:
             xd = rng.normal(size=lead + (cin,) + extent)
         wd = rng.normal(size=(cout, cin) + kernel)
+        bd = rng.normal(size=cout)
         gd = rng.normal(size=lead + (cout,) + extent)
         x = Tensor(xd, requires_grad=True)
         w = Tensor(wd, requires_grad=True)
-        out = T.conv2d(x, w)
+        b = Tensor(bd, requires_grad=True)
+        out = T.conv2d(x, w, b)
         backward(T.tsum(out * Tensor(gd)))
         dw_want = np.zeros_like(wd)
         for idx in np.ndindex(*lead):
-            np.testing.assert_allclose(out.data[idx], conv2d_loops(xd[idx], wd),
+            np.testing.assert_allclose(out.data[idx],
+                                       conv2d_loops(xd[idx], wd) + bd[:, None, None],
                                        rtol=0, atol=1e-12)
             dx_want, dw_part = conv2d_grad_loops(xd[idx], wd, gd[idx])
             np.testing.assert_allclose(x.grad[idx], dx_want, rtol=0, atol=1e-12)
             dw_want += dw_part
         np.testing.assert_allclose(w.grad, dw_want, rtol=0, atol=1e-12)
+        channel = gd.ndim - 3
+        np.testing.assert_allclose(
+            b.grad, gd.sum(axis=tuple(a for a in range(gd.ndim) if a != channel)),
+            rtol=0, atol=1e-12)
 
     def test_backward_keeps_no_column_matrix(self):
         # the rule may hold the padded input, not a kh*kw-times-larger im2col
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(4, 8, 16, 16)), requires_grad=True)
         w = Tensor(rng.normal(size=(16, 8, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=16), requires_grad=True)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = T.conv2d(x, w)
+            out = T.conv2d(x, w, b)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -147,11 +164,19 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel mismatch"):
-            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))),
+                     Tensor(np.zeros(3)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
-            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))))
+            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))),
+                     Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), ()])
+    def test_bias_not_one_per_output_channel_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"bias must be \(3,\)"):
+            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
+                     Tensor(np.zeros(shape)))
 
 
 class TestMaxPool:
@@ -209,21 +234,58 @@ class TestDtypeRules:
     def test_non_float_input_becomes_float64(self, value):
         assert Tensor(value).data.dtype == np.float64
 
-    def test_astype_to_the_same_dtype_is_the_tensor_itself(self):
-        for dtype in (np.float32, np.float64):
-            x = Tensor(np.ones(3, dtype=dtype), requires_grad=True)
-            assert T.astype(x, x.data.dtype) is x
+    @pytest.mark.parametrize("op", ["add", "matmul-flat", "matmul-batched", "conv2d",
+                                    "layer_norm"])
+    def test_float32_activations_over_float64_masters(self, op):
+        # the master operands' gradient is the one a float32 copy of them
+        # gets, cast to float64; the output and the activations stay float32
+        rng = np.random.default_rng(30)
+        x_shape, masters, apply = {
+            "add": ((3, 4), [(4,)], lambda x, p: T.add(x, p[0])),
+            "matmul-flat": ((2, 3, 4), [(4, 5)], lambda x, p: T.matmul(x, p[0])),
+            "matmul-batched": ((2, 3, 4), [(2, 4, 5)], lambda x, p: T.matmul(x, p[0])),
+            "conv2d": ((2, 3, 4, 5), [(2, 3, 3, 3), (2,)],
+                       lambda x, p: T.conv2d(x, p[0], p[1])),
+            "layer_norm": ((3, 6), [(6,), (6,)], lambda x, p: T.layer_norm(x, p[0], p[1])),
+        }[op]
+        x = rng.normal(size=x_shape).astype(np.float32)
+        masters = [rng.normal(size=shape) for shape in masters]
 
-    def test_astype_backward_accumulates_in_the_master_dtype(self):
+        def run(params):
+            xt = Tensor(x, requires_grad=True)
+            params = [Tensor(p, requires_grad=True) for p in params]
+            out = apply(xt, params)
+            mix = np.random.default_rng(31).normal(size=out.shape).astype(np.float32)
+            backward(T.tsum(out * Tensor(mix)))
+            return out, xt, params
+
+        out, xt, params = run(masters)
+        want, xt_want, copies = run([m.astype(np.float32) for m in masters])
+        assert out.data.dtype == xt.grad.dtype == np.float32
+        assert out.data.tobytes() == want.data.tobytes()
+        assert xt.grad.tobytes() == xt_want.grad.tobytes()
+        for p, c in zip(params, copies):
+            assert p.grad.dtype == np.float64
+            assert p.grad.tobytes() == c.grad.astype(np.float64).tobytes()
+
+    def test_master_used_twice_accumulates_in_float64(self):
+        # float32 contributions summed in float32 would round 0.1f + 1
         w = Tensor(np.array([0.1, 0.2, 0.3]), requires_grad=True)
-        x = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32))
-        w32 = T.astype(w, np.float32)
-        assert w32.data.dtype == np.float32
-        loss = T.tsum(w32 * x) + T.tsum(T.astype(w, np.float32))
+        x = Tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
+        c = np.array([[0.1, 0.2, 0.3]], dtype=np.float32)
+        loss = T.tsum(T.add(x, w) * Tensor(c)) + T.tsum(T.add(x, w))
         assert loss.data.dtype == np.float32
         backward(loss)
         assert w.grad.dtype == np.float64
-        np.testing.assert_array_equal(w.grad, [2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(w.grad, c[0].astype(np.float64) + 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_operands_already_narrowest_are_not_copied(self, dtype):
+        a = Tensor(np.ones((2, 3), dtype=dtype))
+        b = Tensor(np.ones(3, dtype=np.float64))
+        ad, bd = T._narrowest(a, b)
+        assert ad is a.data and ad.dtype == dtype
+        assert (bd is b.data) == (dtype == np.float64)
 
     def test_dropout_mask_is_the_float64_draw_cast(self):
         x = np.linspace(0.5, 2.0, 200)
@@ -434,6 +496,23 @@ class TestMiscOps:
         backward(T.tsum(out))
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_amax_with_ties_matches_loop_oracle(self, axis, dtype):
+        rng = np.random.default_rng(27)
+        # ReLU zeros and a half-unit grid tie maxima along every axis
+        x = np.maximum(np.round(rng.normal(size=(3, 4, 5)) * 2) / 2, 0.0).astype(dtype)
+        assert ((x == x.max(axis=axis, keepdims=True)).sum(axis=axis) > 1).any()
+        g = rng.normal(size=np.delete(x.shape, axis)).astype(dtype)
+        out_want, grad_want = amax_loops(x, g, axis)
+        xt = Tensor(x, requires_grad=True)
+        out = T.amax(xt, axis)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, out_want)
+        backward(T.tsum(out * Tensor(g)))
+        assert xt.grad.dtype == dtype
+        np.testing.assert_array_equal(xt.grad, grad_want)
+
     def test_amax_gradient_fd(self):
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
@@ -518,7 +597,7 @@ class TestDeterminismAndFiniteness:
         x = Tensor(rng.normal(scale=100, size=(2, 3, 16, 16)))
         w = Tensor(rng.normal(scale=10, size=(4, 3, 3, 3)))
         g = Tensor(np.ones(8)); b = Tensor(np.zeros(8))
-        h = T.maxpool2d(T.relu(T.conv2d(x, w)))
+        h = T.maxpool2d(T.relu(T.conv2d(x, w, Tensor(rng.normal(size=4)))))
         h = T.reshape(h, (2, 4 * 16, 8))
         h = T.layer_norm(h, g, b)
         out = T.softmax(h)

@@ -238,7 +238,8 @@ class TestCheckpointContainer:
             load_model_from_checkpoint(run.last_path)
 
     @pytest.mark.parametrize("key, value", [("san_heads", 3), ("san_layers", 0),
-                                            ("san_dropout", 1.5), ("head_dropout", -0.1)])
+                                            ("san_dropout", 1.5), ("head_dropout", -0.1),
+                                            ("san_ff_width", -512)])
     def test_stored_bad_model_config_rejected(self, tmp_path, key, value):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=1)

@@ -7,8 +7,10 @@
 builds the benchmark's ``NtuTrain`` workload from that checkout's harness
 (imported, not edited), with BLAS pinned to one thread, and runs two
 steps of forward, backward and ``Adam.step`` (seed 1) for v3/cnn and
-v2/cnn at full NTU geometry and for v1/v2/v3 cnn at the harness's toy
-geometry.  It prints one line per model: the SHA-256 over the loss,
+v2/cnn at full NTU geometry and for v1/v2/v3 with both encoders, cnn and
+ff, at the harness's toy geometry.  The ff lines swap the encoder with
+``dataclasses.replace``; they cover the encoder path of the benchmark's
+fit workload.  It prints one line per model: the SHA-256 over the loss,
 every parameter's gradient and every weight after each step.  Run it on
 two checkouts (say, a `git archive` copy of the parent commit and the
 change) and compare the lines; about 20 s each on 2 vCPUs.
@@ -35,12 +37,15 @@ from pathlib import Path
 
 STEPS = 2
 SEED = 1
-MODELS = [("v3", False), ("v2", False), ("v1", True), ("v2", True), ("v3", True)]
+MODELS = [("v3", "cnn", False), ("v2", "cnn", False), ("v1", "cnn", True),
+          ("v2", "cnn", True), ("v3", "cnn", True), ("v1", "ff", True), ("v2", "ff", True),
+          ("v3", "ff", True)]
 
 
-def digest(harness, variant: str, toy: bool, work: Path) -> str:
+def digest(harness, variant: str, encoder: str, toy: bool, work: Path) -> str:
     workload = harness.NtuTrain(toy)
-    workload.model_config = dataclasses.replace(workload.model_config, variant=variant)
+    workload.model_config = dataclasses.replace(workload.model_config, variant=variant,
+                                                encoder=encoder)
     state = workload.setup(SEED, work)
     params = sorted(state["model"].named_parameters())
     h = hashlib.sha256()
@@ -70,10 +75,10 @@ def main(argv) -> int:
     sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
     import harness
     with tempfile.TemporaryDirectory() as work:
-        for variant, toy in MODELS:
+        for variant, encoder, toy in MODELS:
             size = "toy" if toy else "ntu"
-            print(f"{variant}/cnn {size} {digest(harness, variant, toy, Path(work))}",
-                  flush=True)
+            line = digest(harness, variant, encoder, toy, Path(work))
+            print(f"{variant}/{encoder} {size} {line}", flush=True)
     return 0
 
 
