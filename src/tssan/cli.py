@@ -13,6 +13,7 @@ import configparser
 import os
 import sys
 from dataclasses import fields as dataclass_fields
+from functools import partial
 
 import numpy as np
 
@@ -176,7 +177,8 @@ def _add_train(sub):
     p.add_argument("--val", help="validation manifest (defaults to the training split)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    p.add_argument("--resume", help="checkpoint whose run to continue; settings other "
+                                     "than epochs and batch size must be its own (exit 2)")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--encoder", choices=ENCODERS)
     p.add_argument("--segments", type=int)
@@ -251,12 +253,12 @@ def cmd_train(args) -> int:
         val = _prepare_split(val_manifest.sample_paths(), load_samples(val_manifest),
                              model_cfg, tsn_cfg.segments)
 
-    os.makedirs(args.out, exist_ok=True)
-    write_config_echo(os.path.join(args.out, "config.ini"),
-                      model_cfg, tsn_cfg, train_cfg)
+    # the echo is written only once a resume checkpoint has been accepted
+    echo = partial(write_config_echo, os.path.join(args.out, "config.ini"),
+                   model_cfg, tsn_cfg, train_cfg)
     run = run_training(model_cfg, tsn_cfg, train_cfg, samples, val,
                        out_dir=args.out, resume_from=args.resume,
-                       quiet=args.quiet)
+                       quiet=args.quiet, on_start=echo)
     print(f"best top1={run.best_top1!r} checkpoint={run.best_path}")
     return 0
 
@@ -272,7 +274,7 @@ def _add_eval(sub):
 
 
 def cmd_eval(args) -> int:
-    model, meta = load_model_from_checkpoint(args.checkpoint)
+    model = load_model_from_checkpoint(args.checkpoint)[0]
     manifest = load_manifest(args.data)
     if manifest.num_labels != model.variant.config.num_labels:
         raise CliError(f"checkpoint expects {model.variant.config.num_labels} labels, "
@@ -321,7 +323,7 @@ def write_matrix_csv(path: str, matrix: np.ndarray):
 
 
 def cmd_export_attention(args) -> int:
-    model, meta = load_model_from_checkpoint(args.checkpoint)
+    model = load_model_from_checkpoint(args.checkpoint)[0]
     model.eval()
     (sample,) = _prepare_split([args.sample], [load_sample(args.sample)],
                                model.variant.config, model.config.segments)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -165,25 +166,34 @@ class TrainingRun:
 
 
 _META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
+# the settings a resume may change: how far the run goes and its batch size
+_RESUMABLE = ("epochs", "batch_size")
 
 
 def save_training_checkpoint(path: str, run: TrainingRun, rng: np.random.Generator,
                              epoch: int, configs: dict):
-    """The one writer of a run's checkpoint; per-parameter optimizer state is
-    stored as ``adam.<moment>.<param>`` arrays next to ``param.<param>``."""
-    adam = run.optimizer.state_dict()
-    moments = {key: adam.pop(key) for key in list(adam) if isinstance(adam[key], dict)}
+    """The one writer of a run's checkpoint; this module alone knows its layout.
+
+    Arrays, per parameter in ``named_parameters`` order: ``param.<name>``,
+    ``adam.m.<name>`` and ``adam.v.<name>``.  Meta: ``configs`` (the model,
+    tsn and train settings, stored nowhere else), ``epoch``, ``best_top1``
+    (also the scheduler's best), ``adam`` as ``{step_count, lr}`` (that lr
+    is also the scheduler's), ``scheduler`` as ``{bad_epochs}`` and
+    ``rng_state``.  A resume continues the stored run: only the train
+    settings ``epochs`` and ``batch_size`` may differ (:func:`run_training`).
+    """
+    optimizer = run.optimizer
     arrays = {}
     for name, p in run.model.named_parameters():
         arrays[f"param.{name}"] = p.data
-        for key, per_param in moments.items():
-            arrays[f"adam.{key}.{name}"] = per_param[name]
+        arrays[f"adam.m.{name}"] = optimizer.m[name]
+        arrays[f"adam.v.{name}"] = optimizer.v[name]
     meta = {
         "configs": configs,
         "epoch": epoch,
         "best_top1": run.best_top1,
-        "adam": adam,
-        "scheduler": run.scheduler.state_dict(),
+        "adam": {"step_count": optimizer.step_count, "lr": optimizer.lr},
+        "scheduler": {"bad_epochs": run.scheduler.bad_epochs},
         "rng_state": rng.bit_generator.state,
     }
     save_checkpoint(path, arrays, meta)
@@ -195,10 +205,12 @@ def build_ts_model(model_config: ModelConfig, tsn_config: TsnConfig,
     return TsSan(build_variant(model_config, init_rng), tsn_config)
 
 
-def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
-    """The one reader, exact inverse of :func:`save_training_checkpoint`:
-    the model with its stored weights, and the meta whose ``adam`` holds the
-    ``adam.<moment>.<param>`` arrays again as ``{moment: {param: array}}``."""
+def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
+                                                    dict[str, np.ndarray]]:
+    """The one reader of :func:`save_training_checkpoint`'s files: the model
+    with its stored weights, the stored train settings, the meta and every
+    stored array.  Meta keys it does not read (older files also stored
+    settings and copies of state there) are ignored."""
     meta, arrays = load_checkpoint(path)
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
@@ -209,10 +221,10 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
     try:
         model_config = ModelConfig(**configs["model"])
         tsn_config = TsnConfig(**configs["tsn"])
-        seed = int(configs["train"]["seed"])
+        train_config = TrainConfig(**configs["train"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unusable configs in meta ({exc!r})") from exc
-    model = build_ts_model(model_config, tsn_config, seed)
+    model = build_ts_model(model_config, tsn_config, train_config.seed)
     params = dict(model.named_parameters())
     stored = {key[len("param."):]: arr for key, arr in arrays.items()
               if key.startswith("param.")}
@@ -226,22 +238,20 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, dict]:
                                   f"{stored[name].shape} vs {p.data.shape}")
     for name, p in params.items():
         p.data[...] = stored[name]
-    moments: dict[str, dict[str, np.ndarray]] = {}
-    for key, arr in arrays.items():
-        if key.startswith("adam."):
-            moment, _, name = key[len("adam."):].partition(".")
-            moments.setdefault(moment, {})[name] = arr
-    return model, {**meta, "adam": {**meta["adam"], **moments}}
+    return model, train_config, meta, arrays
 
 
 def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                  train_config: TrainConfig, train_samples: list[PreparedSample],
                  val_samples: list[PreparedSample] | None = None, *, out_dir: str,
-                 resume_from: str | None = None, quiet: bool = True) -> TrainingRun:
+                 resume_from: str | None = None, quiet: bool = True,
+                 on_start: Callable[[], None] | None = None) -> TrainingRun:
     """Train to ``epochs``, tracking the best validation top-1, with
     ``metrics.log``, ``best.ckpt`` and ``last.ckpt`` written to ``out_dir``.
     With no validation split the training split doubles as the
-    plateau/selection metric, which suits overfitting checks.
+    plateau/selection metric, which suits overfitting checks.  A resume
+    changing more than ``epochs`` and ``batch_size`` is a CheckpointError.
+    ``on_start`` runs once a resume is accepted, before the first epoch.
     """
     configs = {"model": model_config.to_dict(), "tsn": tsn_config.to_dict(),
                "train": train_config.to_dict()}
@@ -249,10 +259,16 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     if resume_from is None:
         model = build_ts_model(model_config, tsn_config, train_config.seed)
     else:
-        model, meta = load_model_from_checkpoint(resume_from)
-        if (model.variant.config, model.config) != (model_config, tsn_config):
-            raise CheckpointError(f"{resume_from}: checkpoint was produced by a "
-                                  f"different model/tsn configuration")
+        model, stored_train, meta, arrays = load_model_from_checkpoint(resume_from)
+        stored = {"model": model.variant.config.to_dict(), "tsn": model.config.to_dict(),
+                  "train": stored_train.to_dict()}
+        changed = [f"{section}.{key} ({stored[section][key]!r} -> {value!r})"
+                   for section, values in configs.items() for key, value in values.items()
+                   if key not in _RESUMABLE and value != stored[section][key]]
+        if changed:
+            raise CheckpointError(f"{resume_from}: a resume continues the stored run, but "
+                                  f"these settings are different: {', '.join(changed)}; "
+                                  f"only epochs and batch_size may change")
     optimizer = Adam(dict(model.named_parameters()), lr=train_config.lr,
                      weight_decay=train_config.weight_decay)
     scheduler = PlateauScheduler(train_config.lr, patience=train_config.plateau_patience,
@@ -264,16 +280,25 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     start_epoch = 0
     if meta is not None:
         try:
-            optimizer.load_state_dict(meta["adam"])
-            scheduler.load_state_dict(meta["scheduler"])
+            for name, p in optimizer.params.items():
+                m, v = arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"]
+                if not m.shape == v.shape == p.data.shape:
+                    raise CheckpointError(f"{resume_from}: moment shapes for {name} "
+                                          f"differ from {p.data.shape}")
+                optimizer.m[name], optimizer.v[name] = m, v
+            optimizer.step_count = int(meta["adam"]["step_count"])
+            optimizer.lr = scheduler.lr = float(meta["adam"]["lr"])
+            scheduler.bad_epochs = int(meta["scheduler"]["bad_epochs"])
+            scheduler.best = run.best_top1 = float(meta["best_top1"])
             rng.bit_generator.state = meta["rng_state"]
             start_epoch = int(meta["epoch"])
-            run.best_top1 = float(meta["best_top1"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"{resume_from}: unusable training state in meta "
                                   f"({exc!r})") from exc
 
     os.makedirs(out_dir, exist_ok=True)
+    if on_start is not None:
+        on_start()
     metrics_path = os.path.join(out_dir, "metrics.log")
     held_out = val_samples if val_samples else train_samples
     for epoch in range(start_epoch + 1, train_config.epochs + 1):

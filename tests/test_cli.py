@@ -290,6 +290,49 @@ class TestTrainEval:
         lines = (out / "metrics.log").read_text().splitlines()
         assert len(lines) == 4  # epochs 1-2 then resumed 3-4, appended
 
+    @pytest.mark.parametrize("flags, ini, key", [
+        (("--lr", "0.5"), "", "train.lr"),
+        ((), "[train]\nweight_decay = 0.0", "train.weight_decay"),
+        ((), "[train]\nplateau_patience = 1", "train.plateau_patience"),
+        ((), "[train]\nlr_factor = 0.25", "train.lr_factor"),
+        (("--seed", "4"), "", "train.seed"),
+        (("--san-heads", "1"), "", "model.san_heads"),
+        (("--consensus", "max"), "", "tsn.consensus"),
+    ], ids=["lr", "weight-decay", "patience", "lr-factor", "seed", "model-key", "tsn-key"])
+    def test_resume_with_changed_setting_exits_2(self, tmp_path, synthetic_dir, capsys,
+                                                 flags, ini, key):
+        out = _quick_train(tmp_path, synthetic_dir)
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        config = tmp_path / "run.ini"
+        config.write_text(f"{ini}\n")
+        for target in (tmp_path / "new", out):
+            code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                           "--val", str(synthetic_dir / "val.manifest"),
+                           "--out", str(target), "--config", str(config),
+                           "--variant", "v2", "--encoder", "ff", "--segments", "2",
+                           "--consensus", "avg", "--frames-per-segment", "4",
+                           "--san-layers", "1", "--san-heads", "2", "--epochs", "4",
+                           "--batch-size", "4", "--lr", "0.003", "--seed", "3", "--quiet",
+                           *flags, "--resume", str(out / "last.ckpt"))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "different" in err and f" {key} (" in err
+        # a refused resume writes nothing: no echo of the refused settings
+        assert not (tmp_path / "new").exists()
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_resume_may_change_epochs_and_batch_size(self, tmp_path, synthetic_dir):
+        out = _quick_train(tmp_path, synthetic_dir)
+        resumed = tmp_path / "resumed"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--val", str(synthetic_dir / "val.manifest"),
+                       "--out", str(resumed), "--config", str(out / "config.ini"),
+                       "--epochs", "3", "--batch-size", "2", "--quiet",
+                       "--resume", str(out / "last.ckpt"))
+        assert code == 0
+        assert (resumed / "metrics.log").read_text().startswith("epoch=3 ")
+        assert "batch_size = 2" in (resumed / "config.ini").read_text()
+
     def test_non_utf8_manifest_exits_2(self, tmp_path, synthetic_dir, capsys):
         manifest = synthetic_dir / "train.manifest"
         with open(manifest, "ab") as fh:

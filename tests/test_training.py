@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -237,15 +238,18 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="unusable configs.*train_crop"):
             load_model_from_checkpoint(run.last_path)
 
-    @pytest.mark.parametrize("key, value", [("san_heads", 3), ("san_layers", 0),
-                                            ("san_dropout", 1.5), ("head_dropout", -0.1),
-                                            ("san_ff_width", -512)])
-    def test_stored_bad_model_config_rejected(self, tmp_path, key, value):
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "san_heads", 3), ("model", "san_layers", 0), ("model", "san_dropout", 1.5),
+        ("model", "head_dropout", -0.1), ("model", "san_ff_width", -512),
+        ("train", "lr", float("nan")), ("train", "weight_decay", -1e-4)],
+        ids=["san_heads-3", "san_layers-0", "san_dropout-1.5", "head_dropout--0.1",
+             "san_ff_width--512", "train-lr-nan", "train-weight_decay"])
+    def test_stored_bad_model_config_rejected(self, tmp_path, section, key, value):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=1)
         run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
         meta, arrays = load_checkpoint(run.last_path)
-        meta["configs"]["model"][key] = value
+        meta["configs"][section][key] = value
         save_checkpoint(run.last_path, arrays, meta)
         with pytest.raises(CheckpointError, match="unusable configs"):
             load_model_from_checkpoint(run.last_path)
@@ -332,11 +336,77 @@ class TestRunTraining:
                          out_dir=str(tmp_path / "y"),
                          resume_from=str(tmp_path / "x" / "last.ckpt"))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "lr", 0.5), ("train", "weight_decay", 0.0),
+        ("train", "plateau_patience", 1), ("train", "lr_factor", 0.25),
+        ("train", "seed", 12), ("model", "san_dropout", 0.1), ("tsn", "eval_crop", 0.8)])
+    def test_resume_with_changed_setting_rejected(self, tmp_path, section, key, value):
+        samples = _tiny_dataset(tmp_path)
+        configs = dict(zip(("model", "tsn", "train"), _tiny_configs(epochs=1)))
+        run_training(*configs.values(), samples, out_dir=str(tmp_path / "x"))
+        configs[section] = dataclasses.replace(configs[section], **{key: value})
+        with pytest.raises(CheckpointError, match=rf"different: {section}\.{key} \("):
+            run_training(*configs.values(), samples, out_dir=str(tmp_path / "y"),
+                         resume_from=str(tmp_path / "x" / "last.ckpt"))
+        assert not (tmp_path / "y").exists()
+
+    def test_resume_may_change_epochs_and_batch_size(self, tmp_path):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "x"))
+        longer = dataclasses.replace(train, epochs=3, batch_size=2)
+        resumed = run_training(model_cfg, tsn, longer, samples, out_dir=str(tmp_path / "y"),
+                               resume_from=str(tmp_path / "x" / "last.ckpt"))
+        assert [r.epoch for r in resumed.history] == [2, 3]
+        meta, _ = load_checkpoint(resumed.last_path)
+        assert meta["configs"]["train"] == longer.to_dict()
+        # 12 samples in batches of 2: six Adam steps per resumed epoch
+        assert meta["adam"]["step_count"] == 3 + 2 * 6
+
+    def test_meta_stores_each_setting_and_state_value_once(self, tmp_path):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        meta, arrays = load_checkpoint(run.last_path)
+        assert sorted(meta) == ["adam", "best_top1", "configs", "epoch", "rng_state",
+                                "scheduler"]
+        assert meta["adam"] == {"step_count": run.optimizer.step_count,
+                                "lr": run.optimizer.lr}
+        assert meta["scheduler"] == {"bad_epochs": run.scheduler.bad_epochs}
+        names = [n for n, _ in run.model.named_parameters()]
+        assert list(arrays) == [f"{kind}.{n}" for n in names
+                                for kind in ("param", "adam.m", "adam.v")]
+
+    def test_parent_layout_checkpoint_resumes_bit_identically(self, tmp_path):
+        # older checkpoints also stored settings and state copies in adam
+        # and scheduler; the reader ignores them
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=6)
+        straight = run_training(model_cfg, tsn, train, samples,
+                                out_dir=str(tmp_path / "straight"))
+        part = run_training(model_cfg, tsn, dataclasses.replace(train, epochs=3), samples,
+                            out_dir=str(tmp_path / "part"))
+        meta, arrays = load_checkpoint(part.last_path)
+        meta["adam"].update(weight_decay=train.weight_decay, betas=[0.9, 0.999], eps=1e-8)
+        meta["scheduler"].update(lr=meta["adam"]["lr"], patience=train.plateau_patience,
+                                 factor=train.lr_factor, best=meta["best_top1"])
+        save_checkpoint(part.last_path, arrays, meta)
+        resumed = run_training(model_cfg, tsn, train, samples,
+                               out_dir=str(tmp_path / "resumed"), resume_from=part.last_path)
+        assert ([(r.epoch, r.loss, r.top1, r.top5, r.lr) for r in straight.history[3:]]
+                == [(r.epoch, r.loss, r.top1, r.top5, r.lr) for r in resumed.history])
+        _, straight_arrays = load_checkpoint(straight.last_path)
+        resumed_meta, resumed_arrays = load_checkpoint(resumed.last_path)
+        assert list(straight_arrays) == list(resumed_arrays)
+        for name, arr in straight_arrays.items():
+            np.testing.assert_array_equal(arr, resumed_arrays[name])
+        assert resumed_meta["scheduler"] == {"bad_epochs": straight.scheduler.bad_epochs}
+
     def test_best_checkpoint_loads_back(self, tmp_path):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=2)
         run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
-        model, meta = load_model_from_checkpoint(run.best_path)
+        model = load_model_from_checkpoint(run.best_path)[0]
         top1, _ = evaluate(model, samples)
         assert top1 == run.best_top1
 

@@ -16,6 +16,16 @@
 # metrics.log, and the config.ini echo is dropped: it lists the settings a
 # run was given, not what the run computed.
 #
+# Next to each checkpoint the script writes <ckpt>.json, read with the
+# tree's own tssan.checkpoint.load_checkpoint: the meta as sorted JSON and
+# one "<shape> <SHA-256>" line per array.  When a change alters only the
+# checkpoint meta, compare without the binary files,
+#
+#   diff -r -x '*.ckpt' <out-of-parent> <out-of-change>
+#
+# which then differs only in the .json files, where the meta reads as a
+# text diff and equal digests show the arrays are byte-identical.
+#
 # Datasets: a 40-frame set and a 5-frame set; at K=3 segments the 5-frame
 # clips have a 1-frame last segment.  For each set and each of
 # v1/v2/v3 x ff/cnn x avg/max: train 2 epochs, resume to epoch 4, eval
@@ -47,10 +57,26 @@ tssan() {
     PYTHONPATH="$repo/src" python3 -m tssan.cli "$@"
 }
 
-# strip wall-clock time and the config echo from one training directory
+# strip wall-clock time and the config echo from one training directory,
+# and write the <ckpt>.json of each of its checkpoints
 settle() {
     sed -i 's/ seconds=[^ ]*//' "$1/metrics.log"
     rm -f "$1/config.ini"
+    PYTHONPATH="$repo/src" python3 - "$1"/*.ckpt <<'PY'
+import hashlib
+import json
+import sys
+
+from tssan.checkpoint import load_checkpoint
+
+for path in sys.argv[1:]:
+    meta, arrays = load_checkpoint(path)
+    digests = {name: "x".join(map(str, arr.shape)) + " "
+               + hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in arrays.items()}
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"meta": meta, "arrays": digests}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+PY
 }
 
 # run <set> <name> <config> <train flags...>: train, resume, eval, export
