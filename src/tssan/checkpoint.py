@@ -1,24 +1,37 @@
 """Self-describing binary checkpoint container.
 
 Layout: an 8-byte magic, a little-endian u64 header length, a JSON header,
-then the raw float64 little-endian tensor payload: the float64 master
-weights and Adam moments, whatever dtype the model computes in.  The
-header carries the format version, arbitrary JSON metadata (configs,
-optimizer scalars, rng state, counters), and the name/shape/offset index
-of every tensor.  Loads are all-or-nothing: any inconsistency raises
-before anything is handed out.
+the raw float64 little-endian tensor payload (the float64 master weights
+and Adam moments, whatever dtype the model computes in), and last a
+little-endian u32 ``zlib.crc32`` of every byte before it.  The header
+carries the format version, arbitrary JSON metadata (configs, optimizer
+scalars, rng state, counters), and the name/shape/offset index of every
+tensor; the arrays lie back to back in index order.
+
+Both directions stream.  A save writes the header, whose offsets follow
+from the shapes, then each array in turn, so it never holds a second copy
+of the payload.  A load reads the header, checks the index against the
+file size, and reads each array straight into its own buffer while it
+updates the checksum, so it holds about the file's size and no more.
+Loads are all-or-nothing: a bad magic, header, index, size or checksum
+raises a :class:`CheckpointError` before anything is handed out.
+Version-1 files, written before the checksum, have no trailer and still
+load unchecked.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
 MAGIC = b"TSSANCKP"
-VERSION = 1
+VERSION = 2
+_CRC = struct.Struct("<I")
 
 
 class CheckpointError(RuntimeError):
@@ -27,23 +40,25 @@ class CheckpointError(RuntimeError):
 
 def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict):
     index = []
-    chunks = []
     offset = 0
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        index.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                      "nbytes": len(data)})
-        chunks.append(data)
-        offset += len(data)
+        nbytes = 8 * np.size(arr)
+        index.append({"name": name, "shape": list(np.shape(arr)), "offset": offset,
+                      "nbytes": nbytes})
+        offset += nbytes
     header = json.dumps({"version": VERSION, "meta": meta, "arrays": index},
                         sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for chunk in chunks:
+        crc = 0
+        for chunk in (MAGIC, struct.pack("<Q", len(header)), header):
             fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        for arr in arrays.values():
+            data = np.ascontiguousarray(arr, dtype="<f8")
+            fh.write(data)
+            crc = zlib.crc32(data, crc)
+        fh.write(_CRC.pack(crc))
     os.replace(tmp, path)
 
 
@@ -51,44 +66,60 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (meta, arrays); raises CheckpointError without partial state."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _load(path, fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < len(MAGIC) + 8 or blob[:len(MAGIC)] != MAGIC:
+
+
+def _load(path: str, fh, size: int) -> tuple[dict, dict[str, np.ndarray]]:
+    prefix = fh.read(len(MAGIC) + 8)
+    if len(prefix) < len(MAGIC) + 8 or prefix[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    header_len = struct.unpack("<Q", blob[8:16])[0]
-    header_end = 16 + header_len
-    if header_end > len(blob):
+    header_end = len(prefix) + struct.unpack("<Q", prefix[len(MAGIC):])[0]
+    if header_end > size:
         raise CheckpointError(f"{path}: truncated header")
+    raw = fh.read(header_end - len(prefix))
     try:
-        header = json.loads(blob[16:header_end].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: malformed header, not a JSON object")
-    if header.get("version") != VERSION:
-        raise CheckpointError(f"{path}: version {header.get('version')!r} "
-                              f"unsupported (expected {VERSION})")
+    version = header.get("version")
+    if version not in (1, VERSION):
+        raise CheckpointError(f"{path}: version {version!r} "
+                              f"unsupported (expected 1 or {VERSION})")
     try:
         meta = header["meta"]
-        index = [(e["name"], tuple(e["shape"]), e["offset"], e["nbytes"])
+        index = [(e["name"], e["shape"], e["offset"], e["nbytes"])
                  for e in header["arrays"]]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc!r})") from exc
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: malformed header, meta is not an object")
-    payload = blob[header_end:]
-    arrays: dict[str, np.ndarray] = {}
+
+    # the arrays lie back to back, and the payload ends where the last one does
+    payload = size - header_end - (_CRC.size if version == VERSION else 0)
     end = 0
     for name, shape, start, nbytes in index:
-        if start < 0 or nbytes != 8 * int(np.prod(shape)):
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                and start == end and nbytes == 8 * math.prod(shape)):
             raise CheckpointError(f"{path}: bad offset or size for {name}")
-        if start + nbytes > len(payload):
+        end += nbytes
+        if end > payload:
             raise CheckpointError(f"{path}: truncated payload at {name}")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8")
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-        end = max(end, start + nbytes)
-    if len(payload) > end:
-        raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes "
+    if payload > end:
+        raise CheckpointError(f"{path}: {payload - end} trailing bytes "
                               f"after the last array")
+    crc = zlib.crc32(raw, zlib.crc32(prefix))
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape, _, nbytes in index:
+        arr = np.empty(shape, dtype="<f8")
+        buf = arr.reshape(-1).view(np.uint8)
+        if fh.readinto(buf) != nbytes:
+            raise CheckpointError(f"{path}: truncated payload at {name}")
+        crc = zlib.crc32(buf, crc)
+        arrays[name] = arr.astype(np.float64, copy=False)
+    if version == VERSION and fh.read(_CRC.size) != _CRC.pack(crc):
+        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
     return meta, arrays

@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from .data import (SampleFormatError, ValidationError, load_manifest, load_sample,
-                   load_samples, make_synthetic_dataset, save_manifest, validate_sample,
+                   load_samples, make_synthetic_dataset, pack_path, read_sample,
+                   save_manifest, save_pack, validate_sample,
                    DatasetManifest, DATASET_KINDS)
 from .models import ENCODERS, VARIANTS, ModelConfig
 from .segments import CONSENSUS_MODES, TsnConfig
@@ -152,15 +153,18 @@ def cmd_prepare(args) -> int:
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".txt"))
     if not names:
         raise CliError(f"no .txt sample files under {args.input}")
-    samples = [load_sample(os.path.join(args.input, name)) for name in names]
-    entries = [(os.path.relpath(os.path.join(args.input, name), args.out), sample.label)
-               for name, sample in zip(names, samples)]
+    paths = [os.path.join(args.input, name) for name in names]
+    samples, digests = zip(*map(read_sample, paths))
+    entries = [(os.path.relpath(path, args.out), sample.label)
+               for path, sample in zip(paths, samples)]
     num_labels = args.num_labels if args.num_labels else max(s.label for s in samples) + 1
     manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
                                split="train", entries=entries, base_dir=args.out)
     # the samples are checked as already loaded, before anything is written
     for (rel, label), sample in zip(entries, samples):
         validate_sample(manifest, rel, label, sample)
+    save_pack(pack_path(manifest), ((digest, sample.clip.positions, sample.label)
+                                    for digest, sample in zip(digests, samples)))
     path = os.path.join(args.out, "train.manifest")
     save_manifest(path, manifest)
     load_manifest(path)    # the manifest must read back

@@ -5,15 +5,28 @@ joints per person, coordinates.  Person slots beyond the detected people
 are zero-padded and flagged invalid.  The frame-axis transforms act on
 plain arrays along axis 0, so positions and motions share them and padded
 slots stay at zero; ``segments.sample_segments`` applies them per segment.
+
+Text sample files are the interchange format.  Next to each
+``<split>.manifest``, ``prepare`` also writes a ``<split>.pack``: a
+checkpoint container (``checkpoint.py``) that maps the SHA-256 of each
+sample file's bytes to the float64 positions and the header label that
+parsing those bytes gives.  :func:`load_samples` reads and hashes each
+listed file and takes its clip from the pack when the digest is there;
+it parses the text of a file whose digest is missing, and of every file
+when the pack is absent or unreadable.  A parsed clip is a pure function
+of the file's bytes, so a pack can only be missing entries, never stale.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 DATASET_KINDS = {
     "ntu": (25, 3),        # 3-D joint positions
@@ -150,8 +163,10 @@ def center_crop_window(frames: int, ratio: float = 0.9) -> slice:
 # ---------------------------------------------------------------------------
 # sample and manifest files
 
-def save_sample(path: str, clip: SkeletonClip, label: int):
-    """Write one labelled clip as a sample text file.
+def save_sample(path: str, clip: SkeletonClip, label: int) -> str:
+    """Write one labelled clip as a sample text file; return the SHA-256
+    hex digest of the bytes written, the clip's key in a pack
+    (:func:`save_pack`).
 
     Format (UTF-8 text, LF, CRLF or CR line ends): a header line
     ``F S J C label`` of five integers, then F*S*J data rows of C reals
@@ -166,13 +181,24 @@ def save_sample(path: str, clip: SkeletonClip, label: int):
     an extent below 1 or a negative label, or F < 2; a row without exactly
     C values; a non-numeric or non-finite value; rows beyond F*S*J; and
     fewer rows than F*S*J (``truncated``, naming the file only).
+
+    ``prepare`` stores each clip it writes or reads in its split's pack
+    too, under this digest, so that :func:`load_samples` skips the parse
+    while the file's bytes stay the same; an edited file is parsed again.
     """
     frames, persons, joints, coords = clip.positions.shape
     values = clip.positions.ravel().tolist()
     row = " ".join(["%r"] * coords) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{frames} {persons} {joints} {coords} {label}\n")
-        fh.write(row * (frames * persons * joints) % tuple(values))
+    data = (f"{frames} {persons} {joints} {coords} {label}\n"
+            + row * (frames * persons * joints) % tuple(values)).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return _sample_digest(data)
+
+
+def _sample_digest(data: bytes) -> str:
+    """The pack key of a sample file's bytes: their SHA-256 in hex."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def _data_lines(lines):
@@ -183,25 +209,44 @@ def _data_lines(lines):
             yield lineno, line
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise SampleFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode(path: str, data: bytes) -> str:
+    """A file's bytes as text read in universal-newline mode: CRLF and CR
+    line ends become LF."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SampleFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 _COMMENT = re.compile(r"#[^\n]*")
 
 
 def load_sample(path: str) -> LabeledSample:
-    """Read a sample file (format: :func:`save_sample`) into a labelled clip.
+    """Read a sample file (format: :func:`save_sample`) into a labelled clip."""
+    return _parse_sample(path, _read_bytes(path))
+
+
+def read_sample(path: str) -> tuple[LabeledSample, str]:
+    """:func:`load_sample` and the digest of the bytes it parsed, the
+    clip's key in a pack."""
+    data = _read_bytes(path)
+    return _parse_sample(path, data), _sample_digest(data)
+
+
+def _parse_sample(path: str, data: bytes) -> LabeledSample:
+    """The labelled clip of the sample file ``path`` whose bytes are ``data``.
 
     The data rows are split and converted in bulk.  When their count, a
     row's width, a value or its finiteness is wrong, :func:`_read_rows`
     walks the rows one by one to name the first bad line.
     """
-    text = _read_text(path)
+    text = _decode(path, data)
     bare = _COMMENT.sub("", text) if "#" in text else text
     # lines end at "\n" only, as in file iteration: other str.split()
     # whitespace such as "\x0c" or "\x1c" separates values within a line
@@ -239,7 +284,11 @@ def load_sample(path: str) -> LabeledSample:
     if values is None or not np.isfinite(values).all():
         values = _read_rows(path, list(_data_lines(text.split("\n")))[1:], expected, coords)
 
-    positions = values.reshape(frames, persons, joints, coords)
+    return _labeled(path, values.reshape(frames, persons, joints, coords), label)
+
+
+def _labeled(path: str, positions: np.ndarray, label: int) -> LabeledSample:
+    """A file's clip: a person slot is valid when any of its values is nonzero."""
     mask = np.abs(positions).sum(axis=(0, 2, 3)) > 0
     return LabeledSample(SkeletonClip(positions, mask), label, os.path.basename(path))
 
@@ -282,7 +331,7 @@ def save_manifest(path: str, manifest: DatasetManifest):
 def load_manifest(path: str) -> DatasetManifest:
     header: dict[str, str] = {}
     entries: list[tuple[str, int]] = []
-    for lineno, line in _data_lines(_read_text(path).split("\n")):
+    for lineno, line in _data_lines(_decode(path, _read_bytes(path)).split("\n")):
         fields = line.split("\t")
         if len(fields) != 2:
             raise SampleFormatError(f"{path}:{lineno}: expected 'key<TAB>value', got {line!r}")
@@ -326,11 +375,56 @@ def validate_sample(manifest: DatasetManifest, rel: str, label: int,
                               f"does not match kind {manifest.kind!r} {geometry}")
 
 
+def pack_path(manifest: DatasetManifest) -> str:
+    """Where ``prepare`` writes the pack of a manifest's split."""
+    return os.path.join(manifest.base_dir, f"{manifest.split}.pack")
+
+
+def save_pack(path: str, clips):
+    """Write a pack of (digest, positions, label) triples: the positions
+    array is named by the digest, and the meta maps each digest to its label."""
+    arrays, labels = {}, {}
+    for digest, positions, label in clips:
+        arrays[digest] = positions
+        labels[digest] = label
+    save_checkpoint(path, arrays, {"labels": labels})
+
+
+def _load_pack(path: str) -> dict[str, tuple[np.ndarray, int]]:
+    """digest -> (positions, label) of a pack; empty when it is absent or unreadable.
+
+    An entry that no sample file could parse to (not a finite (F, S, J, C)
+    array with every extent >= 1 and F >= 2, or a label that is not an
+    integer >= 0) is dropped, so its file is parsed and refused or accepted
+    as the text says.
+    """
+    try:
+        meta, arrays = load_checkpoint(path)
+    except CheckpointError:
+        return {}
+    labels = meta.get("labels")
+    if not isinstance(labels, dict):
+        return {}
+    return {digest: (positions, label) for digest, positions in arrays.items()
+            if type(label := labels.get(digest)) is int and label >= 0
+            and positions.ndim == 4 and min(positions.shape) >= 1
+            and positions.shape[0] >= 2 and np.isfinite(positions).all()}
+
+
 def load_samples(manifest: DatasetManifest) -> list[LabeledSample]:
-    """Load and validate every sample against the manifest's contract."""
+    """Load and validate every sample against the manifest's contract.
+
+    Each file is read once and hashed; its clip comes from the split's
+    pack when the digest is there, and from parsing those bytes otherwise.
+    """
+    pack = _load_pack(pack_path(manifest))
     samples = []
     for rel, label in manifest.entries:
-        sample = load_sample(os.path.join(manifest.base_dir, rel))
+        path = os.path.join(manifest.base_dir, rel)
+        data = _read_bytes(path)
+        # popped, so two files of the same bytes never share one array
+        packed = pack.pop(_sample_digest(data), None) if pack else None
+        sample = _parse_sample(path, data) if packed is None else _labeled(path, *packed)
         validate_sample(manifest, rel, label, sample)
         samples.append(sample)
     return samples
@@ -370,7 +464,8 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
     """Generate a separable multi-class motion dataset and its manifest.
 
     Coordinates are snapped to a dyadic grid so differencing and prefix
-    sums reconstruct positions exactly.  Same seed, same files.
+    sums reconstruct positions exactly.  Writes the sample files, the
+    split's pack and its manifest; same seed, same bytes.
     """
     if min(num_labels, samples_per_label, frames, joints, persons, coords) < 1:
         raise ValueError("all synthetic dataset extents must be positive")
@@ -380,6 +475,7 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
     rng = np.random.default_rng(seed)
     manifest = DatasetManifest(kind="synthetic", num_labels=num_labels, split=split,
                                base_dir=out_dir)
+    clips = []
     for label in range(num_labels):
         proto = _class_prototype(label, joints, persons, coords, frames)
         for i in range(samples_per_label):
@@ -390,7 +486,9 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
             positions = np.round(positions * _GRID) / _GRID
             clip = SkeletonClip(positions, np.ones(persons, dtype=bool))
             rel = f"{split}_{label:02d}_{i:04d}.txt"
-            save_sample(os.path.join(out_dir, rel), clip, label)
+            digest = save_sample(os.path.join(out_dir, rel), clip, label)
+            clips.append((digest, clip.positions, label))
             manifest.entries.append((rel, label))
+    save_pack(pack_path(manifest), clips)
     save_manifest(os.path.join(out_dir, f"{split}.manifest"), manifest)
     return manifest

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from tssan.checkpoint import load_checkpoint
 from tssan.cli import main
-from tssan.data import SkeletonClip, load_manifest, save_sample
+from tssan.data import SkeletonClip, load_manifest, read_sample, save_sample
 
 
 def run_cli(*argv):
@@ -62,7 +63,23 @@ class TestPrepare:
                 "--per-label", "4", "--val-per-label", "2", "--frames", "12",
                 "--joints", "2", "--persons", "2", "--coords", "2", "--seed", "7")
         for name in sorted(os.listdir(synthetic_dir)):
-            assert (synthetic_dir / name).read_text() == (again / name).read_text()
+            assert (synthetic_dir / name).read_bytes() == (again / name).read_bytes()
+
+    def test_prepare_writes_a_pack_per_manifest(self, tmp_path, synthetic_dir):
+        def packed(folder, split):
+            manifest = load_manifest(str(folder / f"{split}.manifest"))
+            meta, arrays = load_checkpoint(str(folder / f"{split}.pack"))
+            want = {}
+            for path in manifest.sample_paths():
+                sample, digest = read_sample(path)
+                want[digest] = (sample.label, sample.clip.positions.tobytes())
+            assert {d: (meta["labels"][d], a.tobytes()) for d, a in arrays.items()} == want
+            return len(want)
+
+        assert packed(synthetic_dir, "train") == 12 and packed(synthetic_dir, "val") == 6
+        out = tmp_path / "indexed"
+        assert run_cli("prepare", "--out", str(out), "--input", str(synthetic_dir)) == 0
+        assert packed(out, "train") == 18
 
     def test_missing_input_dir_exits_2(self, tmp_path, capsys):
         code = run_cli("prepare", "--out", str(tmp_path / "x"),
@@ -270,6 +287,39 @@ class TestTrainEval:
         code = run_cli(command, "--checkpoint", str(run_dir / "best.ckpt"), *target)
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_same_run_without_the_packs(self, tmp_path, synthetic_dir, capsys):
+        def run(name):
+            out = tmp_path / name
+            code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                           "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
+                           "--variant", "v3", "--encoder", "ff", "--segments", "2",
+                           "--frames-per-segment", "4", "--san-layers", "1",
+                           "--san-heads", "2", "--epochs", "2", "--batch-size", "4",
+                           "--seed", "3", "--quiet")
+            assert code == 0
+            capsys.readouterr()
+            assert run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                           "--data", str(synthetic_dir / "val.manifest")) == 0
+            log = [line.split(" seconds=")[0]
+                   for line in (out / "metrics.log").read_text().splitlines()]
+            return log, capsys.readouterr().out
+
+        packed = run("packed")
+        for split in ("train", "val"):
+            (synthetic_dir / f"{split}.pack").unlink()
+        assert run("text") == packed
+        assert packed[1].startswith("top1=")
+
+    def test_corrupt_checkpoint_exits_2(self, tmp_path, synthetic_dir, capsys):
+        out = _quick_train(tmp_path, synthetic_dir)
+        blob = bytearray((out / "best.ckpt").read_bytes())
+        blob[-12] ^= 1
+        (out / "best.ckpt").write_bytes(bytes(blob))
+        code = run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                       "--data", str(synthetic_dir / "val.manifest"))
+        assert code == 2
+        assert "checksum mismatch" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, synthetic_dir):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "none.ckpt"),

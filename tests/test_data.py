@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tssan import data
+from tssan.cli import main
 from tssan.data import (
     DatasetManifest, SampleFormatError, SkeletonClip, ValidationError,
     center_crop_window, frame_differences, load_manifest, load_sample,
@@ -321,7 +325,7 @@ class TestSyntheticDataset:
         make_synthetic_dataset(str(a), 2, 3, frames=6, joints=2, seed=5)
         make_synthetic_dataset(str(b), 2, 3, frames=6, joints=2, seed=5)
         for name in sorted(p.name for p in a.iterdir()):
-            assert (a / name).read_text() == (b / name).read_text()
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_zero_noise_nearest_centroid_is_perfect(self, tmp_path):
         manifest = make_synthetic_dataset(str(tmp_path), num_labels=2,
@@ -345,3 +349,133 @@ class TestSyntheticDataset:
             for t in range(1, pos.shape[0]):
                 recon = recon + deltas[t - 1]
                 np.testing.assert_array_equal(recon, pos[t])
+
+
+def _same_samples(got, want):
+    """Bit-identical positions, and equal masks, labels and source ids."""
+    assert [(g.label, g.source_id) for g in got] == [(w.label, w.source_id) for w in want]
+    for g, w in zip(got, want):
+        assert g.clip.positions.dtype == w.clip.positions.dtype == np.float64
+        assert g.clip.positions.shape == w.clip.positions.shape
+        assert g.clip.positions.tobytes() == w.clip.positions.tobytes()
+        assert g.clip.valid_person_mask.tolist() == w.clip.valid_person_mask.tolist()
+
+
+def _text_parse(manifest):
+    return [load_sample(path) for path in manifest.sample_paths()]
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The basenames of the sample files parsed from text, in order."""
+    names = []
+    parse = data._parse_sample
+
+    def counting(path, blob):
+        names.append(os.path.basename(path))
+        return parse(path, blob)
+
+    monkeypatch.setattr(data, "_parse_sample", counting)
+    return names
+
+
+def _flip_label_digit(blob: bytes) -> bytes:
+    """The pack with one bit of its first stored label flipped (0 <-> 1):
+    the header stays valid JSON and names the other label."""
+    at = blob.index(b'"labels": {"')
+    at = blob.index(b'": ', at + len(b'"labels": {"')) + 3
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+
+
+class TestSamplePack:
+    @staticmethod
+    def _dataset(tmp_path):
+        return make_synthetic_dataset(str(tmp_path / "d"), num_labels=3, samples_per_label=3,
+                                      frames=7, joints=2, persons=2, seed=4)
+
+    def test_synthetic_clips_load_from_pack_bit_identical(self, tmp_path, parsed):
+        manifest = self._dataset(tmp_path)
+        assert (tmp_path / "d" / "train.pack").is_file()
+        want = _text_parse(manifest)
+        parsed.clear()
+        got = load_samples(manifest)
+        assert parsed == []
+        _same_samples(got, want)
+
+    def test_input_clips_load_from_pack_bit_identical(self, tmp_path, parsed):
+        folder = tmp_path / "in"
+        folder.mkdir()
+        rng = np.random.default_rng(21)
+        positions = rng.normal(size=(4, 2, 3, 2))
+        positions[:, 1] = 0.0              # an empty person slot: masked out
+        positions[0, 0, 0, 0] = -0.0
+        save_sample(str(folder / "a.txt"), _clip(positions), 1)
+        save_sample(str(folder / "b.txt"), _random_clip(rng, frames=3, coords=2), 0)
+        text = (folder / "b.txt").read_text()
+        (folder / "c.txt").write_bytes(("# noisy copy\r\n"
+                                        + text.replace("\n", "  # note\r\n")).encode())
+        (folder / "d.txt").write_bytes((folder / "a.txt").read_bytes())
+        assert main(["prepare", "--out", str(tmp_path / "out"), "--input", str(folder)]) == 0
+        assert (tmp_path / "out" / "train.pack").is_file()
+        manifest = load_manifest(str(tmp_path / "out" / "train.manifest"))
+        want = _text_parse(manifest)
+        parsed.clear()
+        got = load_samples(manifest)
+        # d.txt holds a.txt's bytes: it is parsed rather than handed a.txt's array
+        assert parsed == ["d.txt"]
+        _same_samples(got, want)
+        assert got[0].clip.valid_person_mask.tolist() == [True, False]
+        assert got[0].clip.positions is not got[3].clip.positions
+
+    def test_edited_sample_loads_new_values_and_only_it_is_parsed(self, tmp_path, parsed):
+        manifest = self._dataset(tmp_path)
+        path = manifest.sample_paths()[4]
+        old = load_sample(path)
+        new_positions = old.clip.positions * 2.0 + 0.25
+        save_sample(path, _clip(new_positions), old.label)
+        want = _text_parse(manifest)
+        parsed.clear()
+        got = load_samples(manifest)
+        assert parsed == [os.path.basename(path)]
+        _same_samples(got, want)
+        assert got[4].clip.positions.tobytes() == new_positions.tobytes()
+
+    def test_sample_made_non_finite_is_still_refused(self, tmp_path):
+        manifest = self._dataset(tmp_path)
+        path = manifest.sample_paths()[2]
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[3] = " ".join(["inf"] + lines[3].split()[1:])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(SampleFormatError, match=r"train_00_0002\.txt:4: non-finite value"):
+            load_samples(manifest)
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped-payload",
+                                        "flipped-label", "forged-nan", "forged-shape",
+                                        "forged-empty", "forged-label"])
+    def test_unusable_pack_falls_back_to_text(self, tmp_path, parsed, damage):
+        manifest = self._dataset(tmp_path)
+        pack = tmp_path / "d" / "train.pack"
+        blob = pack.read_bytes()
+        if damage == "missing":
+            pack.unlink()
+        elif damage == "truncated":
+            pack.write_bytes(blob[:len(blob) // 2])
+        elif damage == "flipped-payload":
+            pack.write_bytes(blob[:-20] + bytes([blob[-20] ^ 1]) + blob[-19:])
+        elif damage == "flipped-label":
+            pack.write_bytes(_flip_label_digit(blob))
+        else:                              # a well-formed pack of entries no file parses to
+            forged = {"forged-nan": lambda pos, label: (np.full_like(pos, np.nan), label),
+                      "forged-shape": lambda pos, label: (pos[0], label),
+                      "forged-empty": lambda pos, label: (pos[:, :0], label),
+                      "forged-label": lambda pos, label: (pos, -1)}[damage]
+            data.save_pack(str(pack), ((digest, *forged(sample.clip.positions, sample.label))
+                                       for sample, digest in map(data.read_sample,
+                                                                 manifest.sample_paths())))
+        want = _text_parse(manifest)
+        parsed.clear()
+        got = load_samples(manifest)
+        assert parsed == [os.path.basename(p) for p in manifest.sample_paths()]
+        _same_samples(got, want)

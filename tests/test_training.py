@@ -222,6 +222,86 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="8 trailing bytes"):
             load_checkpoint(path)
 
+    def test_payload_is_the_arrays_back_to_back_then_a_crc32(self, tmp_path):
+        import struct, zlib
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "h": np.float32([0.5, -2.0]),
+                  "s": np.array(3.25)}
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(str(path), arrays, {})
+        blob = path.read_bytes()
+        payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays.values())
+        assert blob[-4 - len(payload):-4] == payload
+        assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+
+    def test_version_1_file_loads(self, tmp_path):
+        import json, struct
+        from tssan.checkpoint import MAGIC
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])}
+        index, offset = [], 0
+        for name, arr in arrays.items():
+            index.append({"name": name, "shape": list(arr.shape), "offset": offset,
+                          "nbytes": arr.nbytes})
+            offset += arr.nbytes
+        header = json.dumps({"version": 1, "meta": {"epoch": 3}, "arrays": index},
+                            sort_keys=True).encode()
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header
+                         + b"".join(arr.tobytes() for arr in arrays.values()))
+        meta, loaded = load_checkpoint(str(path))
+        assert meta == {"epoch": 3}
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(loaded[name], arr)
+
+    @pytest.mark.parametrize("where", ["payload", "header", "checksum"])
+    def test_flipped_byte_rejected(self, tmp_path, where):
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(str(path), {"w": np.linspace(0.0, 1.0, 10), "b": np.ones(3)},
+                        {"epoch": 7})
+        blob = bytearray(path.read_bytes())
+        at = {"payload": len(blob) - 4 - 9, "header": blob.index(b'"epoch": 7') + 9,
+              "checksum": len(blob) - 2}[where]
+        blob[at] ^= 1                      # the header still parses: epoch 7 -> 6
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(str(path))
+
+    def test_every_single_bit_flip_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(str(path), {"w": np.linspace(0.0, 1.0, 3), "b": np.ones((1, 2))},
+                        {"epoch": 7, "tag": "x"})
+        blob = path.read_bytes()
+        for at in range(len(blob)):
+            for bit in range(8):
+                path.write_bytes(blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:])
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(str(path))
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_about_the_file_size(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = str(tmp_path / "big.ckpt")
+        save_checkpoint(path, {f"a{i}": rng.normal(size=(256, 256)) for i in range(8)},
+                        {"epoch": 1})
+        size = os.path.getsize(path)
+        peak, _ = self._peak_bytes(load_checkpoint, path)
+        assert peak <= 1.2 * size
+
+    def test_save_writes_each_array_as_it_goes(self, tmp_path):
+        rng = np.random.default_rng(2)
+        arrays = {f"a{i}": rng.normal(size=(256, 256)).astype(np.float32) for i in range(8)}
+        one = 256 * 256 * 8                # one array as float64 on disk
+        peak, _ = self._peak_bytes(save_checkpoint, str(tmp_path / "s.ckpt"), arrays, {})
+        assert peak <= 2.2 * one           # never the whole 8-array payload
+
     def test_meta_without_configs_rejected(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, {"w": np.ones(2)}, {"epoch": 1})

@@ -16,15 +16,19 @@
 # metrics.log, and the config.ini echo is dropped: it lists the settings a
 # run was given, not what the run computed.
 #
-# Next to each checkpoint the script writes <ckpt>.json, read with the
-# tree's own tssan.checkpoint.load_checkpoint: the meta as sorted JSON and
-# one "<shape> <SHA-256>" line per array.  When a change alters only the
-# checkpoint meta, compare without the binary files,
+# Next to each checkpoint and each sample pack (the <split>.pack that
+# prepare writes) the script writes <file>.json, read with the tree's own
+# tssan.checkpoint.load_checkpoint: the meta as sorted JSON and one
+# "<shape> <SHA-256>" line per array.  When a change alters only the
+# container's header or meta, or adds packs, compare without the binary
+# files,
 #
-#   diff -r -x '*.ckpt' <out-of-parent> <out-of-change>
+#   diff -r -x '*.ckpt' -x '*.pack' <out-of-parent> <out-of-change>
 #
 # which then differs only in the .json files, where the meta reads as a
-# text diff and equal digests show the arrays are byte-identical.
+# text diff and equal digests show the arrays are byte-identical.  A tree
+# whose prepare writes no packs has no <pack>.json, so against it the diff
+# also lists each of them as "Only in".
 #
 # Datasets: a 40-frame set and a 5-frame set; at K=3 segments the 5-frame
 # clips have a 1-frame last segment.  For each set and each of
@@ -57,12 +61,9 @@ tssan() {
     PYTHONPATH="$repo/src" python3 -m tssan.cli "$@"
 }
 
-# strip wall-clock time and the config echo from one training directory,
-# and write the <ckpt>.json of each of its checkpoints
-settle() {
-    sed -i 's/ seconds=[^ ]*//' "$1/metrics.log"
-    rm -f "$1/config.ini"
-    PYTHONPATH="$repo/src" python3 - "$1"/*.ckpt <<'PY'
+# write <file>.json next to each named container file (checkpoint or pack)
+describe() {
+    PYTHONPATH="$repo/src" python3 - "$@" <<'PY'
 import hashlib
 import json
 import sys
@@ -77,6 +78,22 @@ for path in sys.argv[1:]:
         json.dump({"meta": meta, "arrays": digests}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 PY
+}
+
+# strip wall-clock time and the config echo from one training directory,
+# and write the <ckpt>.json of each of its checkpoints
+settle() {
+    sed -i 's/ seconds=[^ ]*//' "$1/metrics.log"
+    rm -f "$1/config.ini"
+    describe "$1"/*.ckpt
+}
+
+# write the <pack>.json of each pack in a prepared data directory, if any
+describe_packs() {
+    local packs=("$1"/*.pack)
+    if [ -e "${packs[0]}" ]; then
+        describe "${packs[@]}"
+    fi
 }
 
 # run <set> <name> <config> <train flags...>: train, resume, eval, export
@@ -119,6 +136,7 @@ for frames in 40 5; do
     tssan prepare --synthetic --out "$set/data" --labels 3 --per-label 4 \
         --val-per-label 2 --frames "$frames" --joints 4 --persons 2 --coords 3 \
         --seed 11 > "$set/prepare.txt"
+    describe_packs "$set/data"
     for variant in v1 v2 v3; do
         for encoder in ff cnn; do
             for consensus in avg max; do
@@ -151,6 +169,7 @@ for name in sorted(os.listdir(src)):
         fh.write("\n".join(out) + "\n")
 PY
 tssan prepare --input noisy/input --out noisy/data --kind synthetic > noisy/prepare.txt
+describe_packs noisy/data
 for name in v3-ff-avg v2-cnn-max; do
     tssan eval --checkpoint "frames5/$name/train/best.ckpt" \
         --data noisy/data/train.manifest > "noisy/eval-$name.txt"
