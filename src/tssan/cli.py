@@ -153,11 +153,13 @@ def cmd_prepare(args) -> int:
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".txt"))
     if not names:
         raise CliError(f"no .txt sample files under {args.input}")
+    if args.num_labels is not None and args.num_labels < 1:
+        raise CliError(f"--num-labels must be at least 1, got {args.num_labels}")
     paths = [os.path.join(args.input, name) for name in names]
     samples, digests = zip(*map(read_sample, paths))
     entries = [(os.path.relpath(path, args.out), sample.label)
                for path, sample in zip(paths, samples)]
-    num_labels = args.num_labels if args.num_labels else max(s.label for s in samples) + 1
+    num_labels = args.num_labels or max(s.label for s in samples) + 1
     manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
                                split="train", entries=entries, base_dir=args.out)
     # the samples are checked as already loaded, before anything is written
@@ -263,7 +265,8 @@ def cmd_train(args) -> int:
     run = run_training(model_cfg, tsn_cfg, train_cfg, samples, val,
                        out_dir=args.out, resume_from=args.resume,
                        quiet=args.quiet, on_start=echo)
-    print(f"best top1={run.best_top1!r} checkpoint={run.best_path}")
+    # none when a resume into a new --out never beats the stored best
+    print(f"best top1={run.best_top1!r} checkpoint={run.best_path or 'none'}")
     return 0
 
 

@@ -346,6 +346,8 @@ def load_manifest(path: str) -> DatasetManifest:
     missing = [k for k in _MANIFEST_KEYS if k not in header]
     if missing:
         raise SampleFormatError(f"{path}: missing header keys {missing}")
+    if not entries:
+        raise SampleFormatError(f"{path}: manifest lists no samples")
     kind = header["kind"]
     if kind not in DATASET_KINDS:
         raise SampleFormatError(f"{path}: unknown dataset kind {kind!r}")

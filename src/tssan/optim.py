@@ -1,7 +1,9 @@
-"""Adam optimizer and the halve-on-plateau learning-rate schedule.
+"""Adam's update rule.
 
-Settings and running state are plain attributes; which of them a run
-checkpoint stores is decided in ``training.save_training_checkpoint`` alone.
+Settings and running state are plain attributes.  The learning rate is
+read on every step, so ``training.run_training`` cuts it in place when
+validation top-1 stalls; which attributes a run checkpoint stores is
+decided in ``training.save_training_checkpoint`` alone.
 """
 
 from __future__ import annotations
@@ -50,31 +52,3 @@ class Adam:
         for p in self.params.values():
             p.zero_grad()
 
-
-class PlateauScheduler:
-    """Halve the learning rate after ``patience`` epochs without improvement.
-
-    Improvement means a strictly higher metric than the best seen so far.
-    The stagnation counter resets both on improvement and after a cut.
-    """
-
-    def __init__(self, lr: float, patience: int = 5, factor: float = 0.5):
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must lie in (0, 1), got {factor}")
-        self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.best = -np.inf
-        self.bad_epochs = 0
-
-    def step(self, metric: float) -> float:
-        """Record one epoch's validation metric; returns the lr to use next."""
-        if metric > self.best:
-            self.best = metric
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-            if self.bad_epochs >= self.patience:
-                self.lr *= self.factor
-                self.bad_epochs = 0
-        return self.lr

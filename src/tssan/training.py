@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import LabeledSample, frame_differences
 from .models import ModelConfig, build_variant
-from .optim import Adam, PlateauScheduler
+from .optim import Adam
 from .segments import TsnConfig, TsSan, ts_loss
 from .tensor import backward, no_grad
 
@@ -156,13 +156,16 @@ def evaluate(model: TsSan, samples: list[PreparedSample],
 
 @dataclass
 class TrainingRun:
+    """``best_path`` is None until the run's best checkpoint is known to
+    exist; ``bad_epochs`` counts epochs since top-1 improved or lr was cut."""
+
     model: TsSan
     optimizer: Adam
-    scheduler: PlateauScheduler
-    best_path: str
     last_path: str
+    best_path: str | None = None
     history: list[MetricsRecord] = field(default_factory=list)
     best_top1: float = -1.0
+    bad_epochs: int = 0
 
 
 _META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
@@ -176,11 +179,11 @@ def save_training_checkpoint(path: str, run: TrainingRun, rng: np.random.Generat
 
     Arrays, per parameter in ``named_parameters`` order: ``param.<name>``,
     ``adam.m.<name>`` and ``adam.v.<name>``.  Meta: ``configs`` (the model,
-    tsn and train settings, stored nowhere else), ``epoch``, ``best_top1``
-    (also the scheduler's best), ``adam`` as ``{step_count, lr}`` (that lr
-    is also the scheduler's), ``scheduler`` as ``{bad_epochs}`` and
-    ``rng_state``.  A resume continues the stored run: only the train
-    settings ``epochs`` and ``batch_size`` may differ (:func:`run_training`).
+    tsn and train settings, stored nowhere else), ``epoch``, ``best_top1``,
+    ``adam`` as ``{step_count, lr}``, ``scheduler`` as ``{bad_epochs}`` (the
+    plateau count, under the key older files use) and ``rng_state``.  A
+    resume continues the stored run: only the train settings ``epochs`` and
+    ``batch_size`` may differ (:func:`run_training`).
     """
     optimizer = run.optimizer
     arrays = {}
@@ -193,7 +196,7 @@ def save_training_checkpoint(path: str, run: TrainingRun, rng: np.random.Generat
         "epoch": epoch,
         "best_top1": run.best_top1,
         "adam": {"step_count": optimizer.step_count, "lr": optimizer.lr},
-        "scheduler": {"bad_epochs": run.scheduler.bad_epochs},
+        "scheduler": {"bad_epochs": run.bad_epochs},
         "rng_state": rng.bit_generator.state,
     }
     save_checkpoint(path, arrays, meta)
@@ -246,12 +249,16 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                  val_samples: list[PreparedSample] | None = None, *, out_dir: str,
                  resume_from: str | None = None, quiet: bool = True,
                  on_start: Callable[[], None] | None = None) -> TrainingRun:
-    """Train to ``epochs``, tracking the best validation top-1, with
-    ``metrics.log``, ``best.ckpt`` and ``last.ckpt`` written to ``out_dir``.
-    With no validation split the training split doubles as the
-    plateau/selection metric, which suits overfitting checks.  A resume
-    changing more than ``epochs`` and ``batch_size`` is a CheckpointError.
-    ``on_start`` runs once a resume is accepted, before the first epoch.
+    """Train to ``epochs``, with ``metrics.log``, ``best.ckpt`` and
+    ``last.ckpt`` written to ``out_dir``.  Without a validation split
+    (``val_samples`` None) the training split doubles as the selection and
+    plateau metric, which suits overfitting checks.  An epoch whose top-1
+    beats the best so far writes ``best.ckpt`` and resets ``bad_epochs``;
+    else at ``plateau_patience`` bad epochs in a row the lr is scaled by
+    ``lr_factor`` and the count resets.  Records keep the lr an epoch used,
+    checkpoints the lr the next one uses.  A resume changing more than
+    ``epochs`` and ``batch_size`` is a CheckpointError.  ``on_start`` runs
+    once a resume is accepted, before the first epoch.
     """
     configs = {"model": model_config.to_dict(), "tsn": tsn_config.to_dict(),
                "train": train_config.to_dict()}
@@ -271,11 +278,9 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                                   f"only epochs and batch_size may change")
     optimizer = Adam(dict(model.named_parameters()), lr=train_config.lr,
                      weight_decay=train_config.weight_decay)
-    scheduler = PlateauScheduler(train_config.lr, patience=train_config.plateau_patience,
-                                 factor=train_config.lr_factor)
     rng = np.random.default_rng([train_config.seed, 1])
-    run = TrainingRun(model=model, optimizer=optimizer, scheduler=scheduler,
-                      best_path=os.path.join(out_dir, "best.ckpt"),
+    best_path = os.path.join(out_dir, "best.ckpt")
+    run = TrainingRun(model=model, optimizer=optimizer,
                       last_path=os.path.join(out_dir, "last.ckpt"))
     start_epoch = 0
     if meta is not None:
@@ -287,20 +292,24 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                                           f"differ from {p.data.shape}")
                 optimizer.m[name], optimizer.v[name] = m, v
             optimizer.step_count = int(meta["adam"]["step_count"])
-            optimizer.lr = scheduler.lr = float(meta["adam"]["lr"])
-            scheduler.bad_epochs = int(meta["scheduler"]["bad_epochs"])
-            scheduler.best = run.best_top1 = float(meta["best_top1"])
+            optimizer.lr = float(meta["adam"]["lr"])
+            run.bad_epochs = int(meta["scheduler"]["bad_epochs"])
+            run.best_top1 = float(meta["best_top1"])
             rng.bit_generator.state = meta["rng_state"]
             start_epoch = int(meta["epoch"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"{resume_from}: unusable training state in meta "
                                   f"({exc!r})") from exc
+        # a best.ckpt here is the resumed run's only if it resumes from here
+        if os.path.exists(best_path) and os.path.samefile(
+                os.path.dirname(resume_from) or ".", out_dir):
+            run.best_path = best_path
 
     os.makedirs(out_dir, exist_ok=True)
     if on_start is not None:
         on_start()
     metrics_path = os.path.join(out_dir, "metrics.log")
-    held_out = val_samples if val_samples else train_samples
+    held_out = train_samples if val_samples is None else val_samples
     for epoch in range(start_epoch + 1, train_config.epochs + 1):
         t0 = time.perf_counter()
         loss = train_epoch(model, train_samples, optimizer, rng,
@@ -308,14 +317,21 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
         top1, top5 = evaluate(model, held_out, train_config.batch_size)
         record = MetricsRecord(epoch=epoch, loss=loss, top1=top1, top5=top5,
                                lr=optimizer.lr, seconds=time.perf_counter() - t0)
-        optimizer.lr = scheduler.step(top1)
+        improved = top1 > run.best_top1
+        if improved:
+            run.best_top1, run.bad_epochs = top1, 0
+        else:
+            run.bad_epochs += 1
+            if run.bad_epochs >= train_config.plateau_patience:
+                optimizer.lr *= train_config.lr_factor
+                run.bad_epochs = 0
         run.history.append(record)
         with open(metrics_path, "a", encoding="utf-8") as fh:
             fh.write(record.line() + "\n")
         if not quiet:
             print(record.line(), flush=True)
-        if top1 > run.best_top1:
-            run.best_top1 = top1
-            save_training_checkpoint(run.best_path, run, rng, epoch, configs)
+        if improved:
+            save_training_checkpoint(best_path, run, rng, epoch, configs)
+            run.best_path = best_path
         save_training_checkpoint(run.last_path, run, rng, epoch, configs)
     return run

@@ -125,6 +125,15 @@ class TestPrepare:
         assert capsys.readouterr().err == f"error: ../clips/{message}\n"
         assert not (tmp_path / "o" / "train.manifest").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_num_labels_below_one_exits_2(self, tmp_path, capsys, value):
+        folder = _clip_dir(tmp_path, {"a.txt": (3, 2)})
+        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder),
+                       "--num-labels", value)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --num-labels must be at least 1, got {value}\n"
+        assert not (tmp_path / "o" / "train.manifest").exists()
+
     def test_non_utf8_sample_exits_2(self, tmp_path, capsys):
         folder = _clip_dir(tmp_path, {"a.txt": (3, 2), "b.txt": (3, 2)})
         with open(folder / "b.txt", "ab") as fh:
@@ -340,6 +349,23 @@ class TestTrainEval:
         lines = (out / "metrics.log").read_text().splitlines()
         assert len(lines) == 4  # epochs 1-2 then resumed 3-4, appended
 
+    def test_resume_names_only_a_best_checkpoint_it_wrote(self, tmp_path, synthetic_dir,
+                                                          capsys, monkeypatch):
+        from tssan import training
+        # a flat top-1: only epoch 1 improves, so a resumed epoch never does
+        monkeypatch.setattr(training, "evaluate", lambda *args: (0.5, 1.0))
+        out = _quick_train(tmp_path, synthetic_dir)
+        capsys.readouterr()
+        for target in (tmp_path / "new", out):
+            code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                           "--val", str(synthetic_dir / "val.manifest"),
+                           "--out", str(target), "--config", str(out / "config.ini"),
+                           "--epochs", "3", "--quiet", "--resume", str(out / "last.ckpt"))
+            assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "best top1=0.5 checkpoint=none", f"best top1=0.5 checkpoint={out / 'best.ckpt'}"]
+        assert not (tmp_path / "new" / "best.ckpt").exists()
+
     @pytest.mark.parametrize("flags, ini, key", [
         (("--lr", "0.5"), "", "train.lr"),
         ((), "[train]\nweight_decay = 0.0", "train.weight_decay"),
@@ -382,6 +408,28 @@ class TestTrainEval:
         assert code == 0
         assert (resumed / "metrics.log").read_text().startswith("epoch=3 ")
         assert "batch_size = 2" in (resumed / "config.ini").read_text()
+
+    @pytest.mark.parametrize("command", ["train-data", "train-val", "eval-data"])
+    def test_manifest_without_entries_exits_2(self, tmp_path, synthetic_dir, capsys,
+                                              command):
+        empty = synthetic_dir / "empty.manifest"
+        header = (synthetic_dir / "val.manifest").read_text().splitlines()[:3]
+        empty.write_text("\n".join(header) + "\n")
+        train, val = synthetic_dir / "train.manifest", synthetic_dir / "val.manifest"
+        if command == "eval-data":
+            out = _quick_train(tmp_path, synthetic_dir)
+            argv = ["eval", "--checkpoint", str(out / "best.ckpt"), "--data", str(empty)]
+        else:
+            if command == "train-data":
+                train = empty
+            else:
+                val = empty
+            argv = ["train", "--data", str(train), "--val", str(val),
+                    "--out", str(tmp_path / "x"), "--variant", "v2", "--encoder", "ff",
+                    "--segments", "2", "--frames-per-segment", "4", "--epochs", "1"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {empty}: manifest lists no samples\n"
+        assert not (tmp_path / "x").exists()
 
     def test_non_utf8_manifest_exits_2(self, tmp_path, synthetic_dir, capsys):
         manifest = synthetic_dir / "train.manifest"

@@ -220,6 +220,13 @@ class TestSampleFiles:
         with pytest.raises(ValidationError, match="gone.txt"):
             load_manifest(str(mpath))
 
+    def test_manifest_without_entries_rejected(self, tmp_path):
+        mpath = tmp_path / "val.manifest"
+        save_manifest(str(mpath), DatasetManifest(kind="synthetic", num_labels=2, split="val",
+                                                  entries=[], base_dir=str(tmp_path)))
+        with pytest.raises(SampleFormatError, match=rf"^{mpath}: manifest lists no samples$"):
+            load_manifest(str(mpath))
+
     def test_kind_geometry_enforced(self, tmp_path):
         clip = _random_clip(np.random.default_rng(13), frames=3, joints=4)
         save_sample(str(tmp_path / "a.txt"), clip, 0)

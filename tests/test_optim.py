@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from tssan import tensor as T
+from tssan import training
+from tssan.models import ModelConfig
 from tssan.nn import Conv2d, Dropout, LayerNorm, Linear, Module
-from tssan.optim import Adam, PlateauScheduler
+from tssan.optim import Adam
+from tssan.segments import TsnConfig
 from tssan.tensor import Tensor, backward
+from tssan.training import TrainConfig
 
 
 class TestAdam:
@@ -49,29 +53,41 @@ class TestAdam:
             Adam({"p": p}, lr=0.1).step()
 
 
-class TestPlateauScheduler:
-    def test_improving_history_keeps_lr(self):
-        sched = PlateauScheduler(1e-4)
-        for acc in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]:
-            assert sched.step(acc) == 1e-4
+def _lr_after_each_epoch(tmp_path, monkeypatch, top1s, lr=1e-4):
+    """The lr that each epoch of ``run_training`` leaves for the next, when
+    validation top-1 follows ``top1s`` (training itself is stubbed out)."""
+    scripted = iter(top1s)
+    monkeypatch.setattr(training, "train_epoch", lambda *args: 0.0)
+    monkeypatch.setattr(training, "evaluate", lambda *args: (next(scripted), 0.0))
+    model = ModelConfig(variant="v1", encoder="ff", num_labels=2, joints=1, coords=1,
+                        persons=1, frames=2, san_layers=1, san_heads=1, ff_coord_width=1,
+                        san_ff_width=2)
+    run = training.run_training(model, TsnConfig(segments=1, frames_per_segment=2),
+                                TrainConfig(lr=lr, epochs=len(top1s)), [],
+                                out_dir=str(tmp_path / "run"))
+    return [r.lr for r in run.history[1:]] + [run.optimizer.lr]
 
-    def test_flat_history_halves_at_epoch_six(self):
-        sched = PlateauScheduler(1e-4)
-        lrs = [sched.step(0.5) for _ in range(6)]
+
+class TestPlateauScheduler:
+    """The plateau rule of ``run_training``'s epoch loop, at the default
+    patience 5 and factor 0.5."""
+
+    def test_improving_history_keeps_lr(self, tmp_path, monkeypatch):
+        lrs = _lr_after_each_epoch(tmp_path, monkeypatch, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        assert lrs == [1e-4] * 7
+
+    def test_flat_history_halves_at_epoch_six(self, tmp_path, monkeypatch):
+        lrs = _lr_after_each_epoch(tmp_path, monkeypatch, [0.5] * 6)
         assert lrs[:5] == [1e-4] * 5
         assert lrs[5] == 5e-5
 
-    def test_two_stagnation_spans_two_halvings(self):
-        sched = PlateauScheduler(1e-4)
-        lrs = [sched.step(0.5) for _ in range(11)]
-        assert lrs[5] == 5e-5 and lrs[10] == 2.5e-5
+    def test_two_stagnation_spans_two_halvings(self, tmp_path, monkeypatch):
+        lrs = _lr_after_each_epoch(tmp_path, monkeypatch, [0.5] * 11)
+        assert lrs == [1e-4] * 5 + [5e-5] * 5 + [2.5e-5]
 
-    def test_equal_metric_is_not_improvement(self):
-        sched = PlateauScheduler(1e-2)
-        sched.step(0.9)
-        for _ in range(5):
-            lr = sched.step(0.9)
-        assert lr == 5e-3
+    def test_equal_metric_is_not_improvement(self, tmp_path, monkeypatch):
+        lrs = _lr_after_each_epoch(tmp_path, monkeypatch, [0.9] * 6, lr=1e-2)
+        assert lrs[-1] == 5e-3
 
 
 class TestModules:

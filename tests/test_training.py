@@ -382,15 +382,16 @@ class TestRunTraining:
         assert strip(lines_a) == strip(lines_b)
         assert ckpt_a == ckpt_b  # wall time never enters the checkpoint
 
-    def test_resume_is_bit_identical_to_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("patience", [1, 2, 5])
+    def test_resume_is_bit_identical_to_straight_run(self, tmp_path, patience):
         samples = _tiny_dataset(tmp_path)
-        model_cfg, tsn, train = _tiny_configs(epochs=6)
+        model_cfg, tsn, train = _tiny_configs(epochs=6, plateau_patience=patience)
         straight = run_training(model_cfg, tsn, train, samples,
                                 out_dir=str(tmp_path / "straight"))
 
-        model_cfg2, tsn2, train2 = _tiny_configs(epochs=3)
+        model_cfg2, tsn2, train2 = _tiny_configs(epochs=3, plateau_patience=patience)
         run_training(model_cfg2, tsn2, train2, samples, out_dir=str(tmp_path / "part"))
-        model_cfg3, tsn3, train3 = _tiny_configs(epochs=6)
+        model_cfg3, tsn3, train3 = _tiny_configs(epochs=6, plateau_patience=patience)
         resumed = run_training(model_cfg3, tsn3, train3, samples,
                                out_dir=str(tmp_path / "resumed"),
                                resume_from=str(tmp_path / "part" / "last.ckpt"))
@@ -404,6 +405,16 @@ class TestRunTraining:
         b = {n: p.data for n, p in resumed.model.named_parameters()}
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+        assert (tmp_path / "straight" / "last.ckpt").read_bytes() == \
+            (tmp_path / "resumed" / "last.ckpt").read_bytes()
+        # the epochs at whose end the lr was cut
+        cuts = [q.epoch for q, r in zip(straight.history, straight.history[1:])
+                if r.lr < q.lr]
+        if patience < 5:
+            # the part run stores a cut in its checkpoint; the resumed run makes one
+            assert min(cuts) <= 3 < max(cuts), cuts
+        else:
+            assert cuts == []
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         samples = _tiny_dataset(tmp_path)
@@ -452,7 +463,7 @@ class TestRunTraining:
                                 "scheduler"]
         assert meta["adam"] == {"step_count": run.optimizer.step_count,
                                 "lr": run.optimizer.lr}
-        assert meta["scheduler"] == {"bad_epochs": run.scheduler.bad_epochs}
+        assert meta["scheduler"] == {"bad_epochs": run.bad_epochs}
         names = [n for n, _ in run.model.named_parameters()]
         assert list(arrays) == [f"{kind}.{n}" for n in names
                                 for kind in ("param", "adam.m", "adam.v")]
@@ -480,7 +491,7 @@ class TestRunTraining:
         assert list(straight_arrays) == list(resumed_arrays)
         for name, arr in straight_arrays.items():
             np.testing.assert_array_equal(arr, resumed_arrays[name])
-        assert resumed_meta["scheduler"] == {"bad_epochs": straight.scheduler.bad_epochs}
+        assert resumed_meta["scheduler"] == {"bad_epochs": straight.bad_epochs}
 
     def test_best_checkpoint_loads_back(self, tmp_path):
         samples = _tiny_dataset(tmp_path)

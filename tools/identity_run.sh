@@ -34,7 +34,8 @@
 # clips have a 1-frame last segment.  For each set and each of
 # v1/v2/v3 x ff/cnn x avg/max: train 2 epochs, resume to epoch 4, eval
 # best.ckpt on the val split and export every layer's attention of one val
-# sample; plus one v3 run that predicts with v3_inference = mean.  Last,
+# sample; plus one v3 run that predicts with v3_inference = mean and has
+# plateau_patience = 1, so that its lr is cut once top-1 stalls.  Last,
 # the 5-frame train files are copied with comments, blank lines, CRLF line
 # ends and extra whitespace injected, indexed with prepare --input, and two
 # 5-frame checkpoints are evaluated on them; each eval must print what it
@@ -128,6 +129,7 @@ v3_inference = mean
 [train]
 batch_size = 4
 seed = 5
+plateau_patience = 1
 EOF
 
 for frames in 40 5; do
