@@ -131,6 +131,9 @@ def _summarize(manifest, out):
 
 
 def cmd_prepare(args) -> int:
+    if args.synthetic and args.num_labels is not None:
+        raise CliError("--num-labels is for --input mode; --synthetic takes its "
+                       "label count from --labels")
     os.makedirs(args.out, exist_ok=True)
     if args.synthetic:
         splits = [("train", args.per_label, args.seed)]
@@ -246,7 +249,17 @@ def _prepare_split(paths, samples, model: ModelConfig, segments: int):
     return prepare_samples(samples)
 
 
+# what a run writes into --out
+_RUN_FILES = ("config.ini", "metrics.log", "best.ckpt", "last.ckpt")
+
+
 def cmd_train(args) -> int:
+    # a fresh run would append to the held run's metrics.log and overwrite
+    # its checkpoints
+    held = [name for name in _RUN_FILES if os.path.exists(os.path.join(args.out, name))]
+    if held and args.resume is None:
+        raise CliError(f"--out {args.out} already holds a run ({', '.join(held)}); "
+                       f"continue it with --resume or train into another directory")
     manifest = load_manifest(args.data)
     raw = load_samples(manifest)
     model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, raw[0].clip)

@@ -2,7 +2,9 @@
 
 Parameters are float64 master copies.  Each layer hands them to the
 tensor ops as they are; an op computes in the narrowest dtype among its
-operands, so float32 activations train float64 weights.
+operands, so float32 activations train float64 weights.  A master's
+``.grad`` stays in the float32 it was computed in, and ``optim.Adam``
+upcasts it block by block to update the float64 weights and moments.
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ with a new sum.  So ``.grad`` may be a view of, or the same array as,
 another tensor's gradient, and callers treat it as read-only.
 
 Dtype rule: a tensor keeps the dtype of floating input and stores
-anything else as float64, and its gradient is stored in that dtype.  The
-ops that take parameters (:func:`add`, :func:`matmul`, :func:`conv2d`,
-:func:`layer_norm`) compute in the narrowest floating dtype among their
-operands.  So float64 master parameters meet float32 activations in
-float32, and the float32 gradient of a master is stored as float64.
+anything else as float64.  The ops that take parameters (:func:`add`,
+:func:`matmul`, :func:`conv2d`, :func:`layer_norm`) compute in the
+narrowest floating dtype among their operands, so float64 master
+parameters meet float32 activations in float32.  A gradient is stored in
+the narrower of its own dtype and the tensor's: a master keeps the float32
+gradient it was computed in, and a float32 activation never holds a
+float64 one.  A second use sums in the wider dtype, so contributions to a
+master add in float64, as the exact widening of each float32 term.
 
 Only the operations the models need are provided; shapes follow numpy
 broadcasting where noted and raise :class:`ShapeError` otherwise.
@@ -47,7 +50,8 @@ def no_grad():
 
 
 class Tensor:
-    """A float array plus an optional gradient of the same shape and dtype.
+    """A float array plus an optional gradient of the same shape, held in
+    the same or a narrower floating dtype (see the module's dtype rule).
 
     Floating input keeps its dtype (float32 activations, float64 masters);
     integer, boolean and Python-scalar input becomes float64.
@@ -122,11 +126,14 @@ def as_tensor(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    # the first contribution is kept as it is, cast only to t's dtype or from
-    # the numpy scalar of a 0-d op; a later one makes a new sum, never +=
-    if t.grad is not None:
-        g = t.grad + g
-    t.grad = np.asarray(g, dtype=t.data.dtype)
+    # the first contribution is kept as it is, narrowed only to t's dtype or
+    # made an array from the numpy scalar of a 0-d op; a later one makes a new
+    # sum in the wider dtype, stored in t's dtype, never +=
+    if t.grad is None:
+        g = np.asarray(g)
+        t.grad = g if g.dtype.itemsize <= t.data.dtype.itemsize else g.astype(t.data.dtype)
+    else:
+        t.grad = np.asarray(t.grad.astype(t.data.dtype, copy=False) + g, dtype=t.data.dtype)
 
 
 def _node(data, parents, backward_fn) -> Tensor:
@@ -533,13 +540,14 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
     scale = 1.0 / (1.0 - rate)
-    # float64 draws in every dtype, so a seed fixes the same mask
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) * scale
+    # float64 draws in every dtype, so a seed fixes the same mask; only the
+    # bool keep-mask is held for the backward, which scales it again
+    keep = rng.random(x.data.shape) >= rate
 
     def bwd(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (keep.astype(x.data.dtype) * scale))
 
-    return _node(x.data * mask, (x,), bwd)
+    return _node(x.data * (keep.astype(x.data.dtype) * scale), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,15 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("error: prepare --synthetic: ") and message in err
 
+    def test_synthetic_refuses_num_labels(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("prepare", "--out", str(out), "--synthetic", "--labels", "3",
+                       "--num-labels", "7")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: --num-labels is for --input mode; "
+                                           "--synthetic takes its label count from --labels\n")
+        assert not out.exists()
+
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):
         folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "short.txt": (1, 2)})
         code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
@@ -348,6 +357,27 @@ class TestTrainEval:
         assert code == 0
         lines = (out / "metrics.log").read_text().splitlines()
         assert len(lines) == 4  # epochs 1-2 then resumed 3-4, appended
+
+    @pytest.mark.parametrize("held", ["all", "config.ini", "metrics.log", "last.ckpt"])
+    def test_fresh_train_into_a_held_run_exits_2(self, tmp_path, synthetic_dir, capsys,
+                                                 held):
+        out = _quick_train(tmp_path, synthetic_dir)
+        if held != "all":
+            for name in os.listdir(out):
+                if name != held:
+                    (out / name).unlink()
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(out), "--variant", "v2", "--encoder", "ff",
+                       "--segments", "2", "--frames-per-segment", "4", "--epochs", "1",
+                       "--seed", "4", "--quiet")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} already holds a run (") and "--resume" in err
+        if held != "all":
+            assert f"({held})" in err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_resume_names_only_a_best_checkpoint_it_wrote(self, tmp_path, synthetic_dir,
                                                           capsys, monkeypatch):

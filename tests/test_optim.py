@@ -5,7 +5,7 @@ from tssan import tensor as T
 from tssan import training
 from tssan.models import ModelConfig
 from tssan.nn import Conv2d, Dropout, LayerNorm, Linear, Module
-from tssan.optim import Adam
+from tssan.optim import _ADAM_BLOCK, BETA1, BETA2, EPS, Adam
 from tssan.segments import TsnConfig
 from tssan.tensor import Tensor, backward
 from tssan.training import TrainConfig
@@ -51,6 +51,55 @@ class TestAdam:
         p = Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(ValueError, match="missing gradient"):
             Adam({"p": p}, lr=0.1).step()
+
+    def test_missing_grad_writes_nothing(self):
+        # a gradient missing for the last parameter leaves the first one's
+        # weights and moments, and the step count, as they were
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        opt = Adam({"a": a, "b": b}, lr=0.01, weight_decay=1e-3)
+        a.grad, b.grad = rng.normal(size=(4, 3)), rng.normal(size=5)
+        opt.step()
+        state = [x.copy() for x in (a.data, b.data, opt.m["a"], opt.v["a"], opt.m["b"],
+                                    opt.v["b"])]
+        a.grad, b.grad = rng.normal(size=(4, 3)), None
+        with pytest.raises(ValueError, match="missing gradient for b"):
+            opt.step()
+        after = (a.data, b.data, opt.m["a"], opt.v["a"], opt.m["b"], opt.v["b"])
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(state, after))
+        assert opt.step_count == 1
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-5])
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_blocked_step_matches_the_whole_array_formula(self, weight_decay, grad_dtype):
+        # the whole-array update on float64-upcast gradients is the reference;
+        # "big" spans two blocks and a ragged tail, "small" less than a block
+        rng = np.random.default_rng(5)
+        shapes = {"big": (3, _ADAM_BLOCK * 2 // 3 + 41), "small": (7, 5), "scalar": ()}
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        ref_m = {n: np.zeros_like(p) for n, p in ref.items()}
+        ref_v = {n: np.zeros_like(p) for n, p in ref.items()}
+        lr = 1e-3
+        opt = Adam(params, lr=lr, weight_decay=weight_decay)
+        for t in range(1, 5):
+            bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for name, p in params.items():
+                p.grad = np.asarray(rng.normal(size=shapes[name]), dtype=grad_dtype)
+                g = p.grad.astype(np.float64)
+                if weight_decay:
+                    g = g + weight_decay * ref[name]
+                ref_m[name] = ref_m[name] * BETA1 + (1.0 - BETA1) * g
+                ref_v[name] = ref_v[name] * BETA2 + (1.0 - BETA2) * (g * g)
+                ref[name] = ref[name] - lr * (ref_m[name] / bc1) / (
+                    np.sqrt(ref_v[name] / bc2) + EPS)
+            opt.step()
+            for name, p in params.items():
+                assert p.data.dtype == np.float64
+                for got, want in ((p.data, ref[name]), (opt.m[name], ref_m[name]),
+                                  (opt.v[name], ref_v[name])):
+                    assert got.tobytes() == want.tobytes(), (name, t)
 
 
 def _lr_after_each_epoch(tmp_path, monkeypatch, top1s, lr=1e-4):

@@ -3,8 +3,9 @@
 The compute dtype follows the model input: ``prepare_samples`` hands the
 network float32 clips, and the ops that take parameters compute in the
 narrowest dtype among their operands, so the float64 parameters enter
-compute as float32 and the backward stores their float32 gradients as
-float64 ``.grad``.  Float64 input runs the float64 graph.
+compute as float32 and each keeps the float32 gradient it was computed in
+as its ``.grad``; ``Adam`` upcasts it block by block to update the float64
+weights and moments.  Float64 input runs the float64 graph.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_float32_input_computes_in_float32_over_float64_masters(variant, encoder
     T.backward(loss)
     for name, p in params.items():
         assert p.data.dtype == np.float64, name
-        assert p.grad is not None and p.grad.dtype == np.float64, name
+        assert p.grad is not None and p.grad.dtype == np.float32, name
 
 
 def test_float32_agrees_with_float64():

@@ -237,8 +237,8 @@ class TestDtypeRules:
     @pytest.mark.parametrize("op", ["add", "matmul-flat", "matmul-batched", "conv2d",
                                     "layer_norm"])
     def test_float32_activations_over_float64_masters(self, op):
-        # the master operands' gradient is the one a float32 copy of them
-        # gets, cast to float64; the output and the activations stay float32
+        # the master operands' gradient is the float32 one a float32 copy of
+        # them gets; the output and the activations stay float32
         rng = np.random.default_rng(30)
         x_shape, masters, apply = {
             "add": ((3, 4), [(4,)], lambda x, p: T.add(x, p[0])),
@@ -265,8 +265,8 @@ class TestDtypeRules:
         assert out.data.tobytes() == want.data.tobytes()
         assert xt.grad.tobytes() == xt_want.grad.tobytes()
         for p, c in zip(params, copies):
-            assert p.grad.dtype == np.float64
-            assert p.grad.tobytes() == c.grad.astype(np.float64).tobytes()
+            assert p.grad.dtype == c.grad.dtype == np.float32
+            assert p.grad.tobytes() == c.grad.tobytes()
 
     def test_master_used_twice_accumulates_in_float64(self):
         # float32 contributions summed in float32 would round 0.1f + 1
@@ -278,6 +278,31 @@ class TestDtypeRules:
         backward(loss)
         assert w.grad.dtype == np.float64
         np.testing.assert_array_equal(w.grad, c[0].astype(np.float64) + 1.0)
+
+    def test_master_keeps_a_float32_gradient_and_sums_uses_in_float64(self):
+        # one use keeps the contribution in its own dtype; two uses, in any
+        # order of dtypes, give float64(g1) + float64(g2)
+        rng = np.random.default_rng(32)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        uses = [(Tensor(rng.normal(size=(5, 3)).astype(dtype)),
+                 Tensor(rng.normal(size=(5, 2)).astype(dtype)))
+                for dtype in (np.float32, np.float32, np.float64)]
+
+        def term(use):
+            x, c = uses[use]
+            return T.tsum(T.matmul(x, w) * c)
+
+        alone = []
+        for use, dtype in enumerate((np.float32, np.float32, np.float64)):
+            w.grad = None
+            backward(term(use))
+            assert w.grad.dtype == dtype
+            alone.append(w.grad)
+        for first, second in [(0, 1), (0, 2), (2, 0)]:
+            w.grad = None
+            backward(term(first) + term(second))
+            want = alone[first].astype(np.float64) + alone[second].astype(np.float64)
+            assert w.grad.dtype == np.float64 and w.grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_operands_already_narrowest_are_not_copied(self, dtype):
@@ -411,6 +436,27 @@ class TestDropout:
     def test_full_rate_rejected(self):
         with pytest.raises(ValueError):
             T.dropout(Tensor(np.ones(3)), 1.0, True, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_a_stored_scaled_mask(self, dtype):
+        # the reference keeps the scaled mask in x's dtype; the op keeps only
+        # the bool keep-mask, one byte per value beyond its output
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(6, 50, 40)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=x.shape).astype(dtype)
+        mask = ((np.random.default_rng(21).random(x.shape) >= 0.3).astype(dtype)
+                * (1.0 / (1.0 - 0.3)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.dropout(x, 0.3, True, np.random.default_rng(21))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= out.data.nbytes + x.data.size + 4096
+        assert out.data.dtype == dtype and out.data.tobytes() == (x.data * mask).tobytes()
+        backward(T.tsum(out * Tensor(g)))
+        assert x.grad.dtype == dtype and x.grad.tobytes() == (g * mask).tobytes()
 
 
 class TestBackward:

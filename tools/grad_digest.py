@@ -11,7 +11,10 @@ v2/cnn at full NTU geometry and for v1/v2/v3 with both encoders, cnn and
 ff, at the harness's toy geometry.  The ff lines swap the encoder with
 ``dataclasses.replace``; they cover the encoder path of the benchmark's
 fit workload.  It prints one line per model: the SHA-256 over the loss,
-every parameter's gradient and every weight after each step.  Run it on
+every parameter's gradient and every weight after each step.  Gradients
+are hashed by value in float64, so a tree that stores a master's float32
+gradient as float64 and one that keeps it float32 print the same line
+when the values agree; weights are hashed as stored.  Run it on
 two checkouts (say, a `git archive` copy of the parent commit and the
 change) and compare the lines; about 20 s each on 2 vCPUs.
 
@@ -43,6 +46,7 @@ MODELS = [("v3", "cnn", False), ("v2", "cnn", False), ("v1", "cnn", True),
 
 
 def digest(harness, variant: str, encoder: str, toy: bool, work: Path) -> str:
+    import numpy as np   # imported here, after main pins the BLAS threads
     workload = harness.NtuTrain(toy)
     workload.model_config = dataclasses.replace(workload.model_config, variant=variant,
                                                 encoder=encoder)
@@ -55,7 +59,7 @@ def digest(harness, variant: str, encoder: str, toy: bool, work: Path) -> str:
             raise SystemExit(f"{variant} step {index}: {unit.problems}")
         h.update(repr(unit.fingerprint).encode())
         for name, p in params:
-            for arr in (p.grad, p.data):
+            for arr in (np.asarray(p.grad, np.float64), p.data):
                 h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
                 h.update(arr.tobytes())
     workload.release(state)
