@@ -3,7 +3,8 @@
 Configuration comes from an INI-style file ([model] / [tsn] / [train]
 sections of key = value pairs) with command-line flags taking precedence;
 the merged effective config is echoed into the output directory.  Exit
-codes: 0 success, 2 usage or configuration problem, 3 numeric divergence.
+codes: 0 success, 2 usage, configuration, input or file-system problem
+(any ``OSError``), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -46,20 +47,9 @@ def _settable(section: str) -> dict:
     return {f.name: f for f in dataclass_fields(_SECTIONS[section]) if f.name not in _INFERRED}
 
 
-def _coerce(raw: str, annotation: str, where: str):
-    base = annotation.split("[")[0]
-    try:
-        if base == "int":
-            return int(raw)
-        if base == "float":
-            return float(raw)
-        if base == "str":
-            return raw
-        if base == "tuple":
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise CliError(f"{where}: cannot parse {raw!r} as {base}") from exc
-    raise CliError(f"{where}: unsupported config value type {annotation}")
+# the reader of each field annotation's base type ("tuple" of "tuple[float, float]")
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple": lambda raw: tuple(float(v) for v in raw.replace(",", " ").split())}
 
 
 def read_config_file(path: str) -> dict[str, dict]:
@@ -77,7 +67,12 @@ def read_config_file(path: str) -> dict[str, dict]:
         for key, raw in parser.items(section):
             if key not in known:
                 raise CliError(f"{path}: unknown key {key!r} in [{section}]")
-            values[key] = _coerce(raw, str(known[key].type), f"{path} [{section}] {key}")
+            base = str(known[key].type).split("[")[0]
+            try:
+                values[key] = _PARSERS[base](raw)
+            except ValueError as exc:
+                raise CliError(f"{path} [{section}] {key}: cannot parse {raw!r} "
+                               f"as {base}") from exc
         out[section] = values
     return out
 
@@ -406,7 +401,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, SampleFormatError, ValidationError, CheckpointError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericDivergenceError as exc:

@@ -243,8 +243,9 @@ def _parse_sample(path: str, data: bytes) -> LabeledSample:
     """The labelled clip of the sample file ``path`` whose bytes are ``data``.
 
     The data rows are split and converted in bulk.  When their count, a
-    row's width, a value or its finiteness is wrong, :func:`_read_rows`
-    walks the rows one by one to name the first bad line.
+    row's width or a value is wrong, :func:`_raise_first_bad_row` walks
+    the rows one by one to name the first bad line; a non-finite value is
+    found in the converted values.
     """
     text = _decode(path, data)
     bare = _COMMENT.sub("", text) if "#" in text else text
@@ -282,7 +283,12 @@ def _parse_sample(path: str, data: bytes) -> LabeledSample:
         except ValueError:
             pass
     if values is None or not np.isfinite(values).all():
-        values = _read_rows(path, list(_data_lines(text.split("\n")))[1:], expected, coords)
+        data_rows = list(_data_lines(text.split("\n")))[1:]
+        if values is None:
+            _raise_first_bad_row(path, data_rows, expected, coords)
+        finite = np.isfinite(values.reshape(expected, coords)).all(axis=1)
+        lineno, line = data_rows[int(np.argmin(finite))]
+        raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
 
     return _labeled(path, values.reshape(frames, persons, joints, coords), label)
 
@@ -293,10 +299,9 @@ def _labeled(path: str, positions: np.ndarray, label: int) -> LabeledSample:
     return LabeledSample(SkeletonClip(positions, mask), label, os.path.basename(path))
 
 
-def _read_rows(path: str, rows, expected: int, coords: int) -> np.ndarray:
-    """(expected, coords) values of the (lineno, line) data rows, read one
-    row at a time; raises a :class:`SampleFormatError` naming the first bad row."""
-    values = np.zeros((expected, coords))
+def _raise_first_bad_row(path: str, rows, expected: int, coords: int):
+    """Raise a :class:`SampleFormatError` naming the first bad one of the
+    (lineno, line) data rows, walked one at a time, whose bulk read failed."""
     for count, (lineno, line) in enumerate(rows):
         if count >= expected:
             raise SampleFormatError(f"{path}:{lineno}: trailing data beyond {expected} rows")
@@ -304,16 +309,11 @@ def _read_rows(path: str, rows, expected: int, coords: int) -> np.ndarray:
         if len(fields) != coords:
             raise SampleFormatError(f"{path}:{lineno}: expected {coords} values, got {len(fields)}")
         try:
-            values[count] = [float(f) for f in fields]
+            list(map(float, fields))
         except ValueError:
             raise SampleFormatError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-    if len(rows) != expected:
-        raise SampleFormatError(f"{path}: truncated: {len(rows)} of {expected} data rows")
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        lineno, line = rows[int(np.argmin(finite))]
-        raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-    return values
+    # every row read and none beyond ``expected``: the bulk read failed on the count
+    raise SampleFormatError(f"{path}: truncated: {len(rows)} of {expected} data rows")
 
 
 _MANIFEST_KEYS = ("kind", "num_labels", "split")

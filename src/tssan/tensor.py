@@ -72,10 +72,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -85,37 +81,15 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
-
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -232,8 +206,6 @@ def mul(a, b) -> Tensor:
             _accumulate(a, g * s)
 
         return _node(a.data * s, (a,), bwd_scalar)
-    if isinstance(a, (int, float)):
-        return mul(b, a)
 
     a, b = as_tensor(a), as_tensor(b)
 
@@ -334,12 +306,10 @@ def concat(tensors, axis: int) -> Tensor:
 def _normalize_axis(axis, ndim):
     if axis is None:
         return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
+    return (axis % ndim,)
 
 
-def tsum(x: Tensor, axis=None) -> Tensor:
+def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axis(axis, x.data.ndim)
 
@@ -349,7 +319,7 @@ def tsum(x: Tensor, axis=None) -> Tensor:
     return _node(x.data.sum(axis=axes), (x,), bwd)
 
 
-def tmean(x: Tensor, axis=None) -> Tensor:
+def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axis(axis, x.data.ndim)
     count = int(np.prod([x.data.shape[a] for a in axes]))

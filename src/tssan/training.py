@@ -8,9 +8,10 @@ runs continue bit-identically.
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,11 +51,13 @@ class TrainConfig:
             raise ValueError("lr, batch_size, epochs, patience must be positive")
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("lr", "weight_decay"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ValueError(f"lr_factor must lie in (0, 1), got {self.lr_factor}")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -213,7 +216,8 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
     """The one reader of :func:`save_training_checkpoint`'s files: the model
     with its stored weights, the stored train settings, the meta and every
     stored array.  Meta keys it does not read (older files also stored
-    settings and copies of state there) are ignored."""
+    settings and copies of state there) are ignored.  Stored parameters
+    must match the model's names and shapes and be finite everywhere."""
     meta, arrays = load_checkpoint(path)
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
@@ -239,6 +243,8 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
         if stored[name].shape != p.data.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name}: "
                                   f"{stored[name].shape} vs {p.data.shape}")
+        if not np.isfinite(stored[name]).all():
+            raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
     for name, p in params.items():
         p.data[...] = stored[name]
     return model, train_config, meta, arrays
@@ -260,15 +266,15 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     ``epochs`` and ``batch_size`` is a CheckpointError.  ``on_start`` runs
     once a resume is accepted, before the first epoch.
     """
-    configs = {"model": model_config.to_dict(), "tsn": tsn_config.to_dict(),
-               "train": train_config.to_dict()}
+    configs = {"model": asdict(model_config), "tsn": asdict(tsn_config),
+               "train": asdict(train_config)}
     meta = None
     if resume_from is None:
         model = build_ts_model(model_config, tsn_config, train_config.seed)
     else:
         model, stored_train, meta, arrays = load_model_from_checkpoint(resume_from)
-        stored = {"model": model.variant.config.to_dict(), "tsn": model.config.to_dict(),
-                  "train": stored_train.to_dict()}
+        stored = {"model": asdict(model.variant.config), "tsn": asdict(model.config),
+                  "train": asdict(stored_train)}
         changed = [f"{section}.{key} ({stored[section][key]!r} -> {value!r})"
                    for section, values in configs.items() for key, value in values.items()
                    if key not in _RESUMABLE and value != stored[section][key]]

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tssan.checkpoint import load_checkpoint
+from tssan.checkpoint import load_checkpoint, save_checkpoint
 from tssan.cli import main
 from tssan.data import SkeletonClip, load_manifest, read_sample, save_sample
 
@@ -80,6 +80,17 @@ class TestPrepare:
         out = tmp_path / "indexed"
         assert run_cli("prepare", "--out", str(out), "--input", str(synthetic_dir)) == 0
         assert packed(out, "train") == 18
+
+    def test_neither_mode_exits_2(self, tmp_path, capsys):
+        assert run_cli("prepare", "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == "error: prepare needs either --synthetic or --input DIR\n"
+
+    def test_input_without_samples_exits_2(self, tmp_path, capsys):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "notes.md").write_text("no samples here\n")
+        code = run_cli("prepare", "--out", str(tmp_path / "x"), "--input", str(tmp_path / "in"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no .txt sample files under {tmp_path / 'in'}\n"
 
     def test_missing_input_dir_exits_2(self, tmp_path, capsys):
         code = run_cli("prepare", "--out", str(tmp_path / "x"),
@@ -230,6 +241,23 @@ class TestTrainEval:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nepochs = many\n", "{cfg} [train] epochs: cannot parse 'many' as int"),
+        ("[tsn]\ntrain_crop = 0.5, high\n",
+         "{cfg} [tsn] train_crop: cannot parse '0.5, high' as tuple"),
+        ("[optim]\nlr = 0.1\n", "{cfg}: unknown config section [optim]"),
+        (None, "config file not found: {cfg}"),
+    ], ids=["int", "tuple", "section", "missing"])
+    def test_bad_config_file_exits_2(self, tmp_path, synthetic_dir, capsys, text, message):
+        cfg = tmp_path / "bad.ini"
+        if text is not None:
+            cfg.write_text(text)
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(tmp_path / "o"), "--config", str(cfg))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, synthetic_dir, capsys):
         cfg = tmp_path / "bad.ini"
@@ -478,8 +506,11 @@ class TestTrainEval:
         ((), "[model]\nsan_ff_width = -512", "ff_width must be >= 0, got -512"),
         (("--lr", "nan"), "", "lr, batch_size, epochs, patience must be positive"),
         ((), "[train]\nweight_decay = -1", "weight_decay must be >= 0, got -1.0"),
+        (("--lr", "inf"), "", "lr must be finite, got inf"),
+        ((), "[train]\nweight_decay = inf", "weight_decay must be finite, got inf"),
+        (("--seed", "-1"), "", "seed must be >= 0, got -1"),
     ], ids=["heads-7", "layers-0", "san-dropout", "head-dropout", "ff-width", "lr-nan",
-            "weight-decay"])
+            "weight-decay", "lr-inf", "weight-decay-inf", "seed-negative"])
     def test_bad_model_config_exits_2_before_writing(self, tmp_path, synthetic_dir, capsys,
                                                      flags, ini, message):
         # model and train settings alike are refused before config.ini is written
@@ -493,6 +524,78 @@ class TestTrainEval:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: invalid configuration: {message}")
         assert not out.exists()
+
+    def test_train_without_quiet_prints_each_epoch(self, tmp_path, synthetic_dir, capsys):
+        out = tmp_path / "loud"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(out), "--variant", "v2", "--encoder", "ff",
+                       "--segments", "2", "--frames-per-segment", "4", "--san-layers", "1",
+                       "--san-heads", "2", "--epochs", "2", "--batch-size", "4")
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-1] == (out / "metrics.log").read_text().splitlines()
+        assert len(printed) == 3 and printed[-1].startswith("best top1=")
+
+    def test_train_val_label_counts_disagree_exits_2(self, tmp_path, synthetic_dir, capsys):
+        val = synthetic_dir / "val.manifest"
+        val.write_text(val.read_text().replace("num_labels\t3\n", "num_labels\t4\n"))
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--val", str(val), "--out", str(tmp_path / "o"), "--variant", "v2",
+                       "--encoder", "ff", "--segments", "2", "--frames-per-segment", "4")
+        assert code == 2
+        assert capsys.readouterr().err == "error: train/val manifests disagree on num_labels\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_label_count_mismatch_exits_2(self, tmp_path, synthetic_dir, capsys):
+        out = _quick_train(tmp_path, synthetic_dir)
+        val = synthetic_dir / "val.manifest"
+        val.write_text(val.read_text().replace("num_labels\t3\n", "num_labels\t4\n"))
+        code = run_cli("eval", "--checkpoint", str(out / "best.ckpt"), "--data", str(val))
+        assert code == 2
+        assert capsys.readouterr().err == "error: checkpoint expects 3 labels, manifest has 4\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eval_of_non_finite_checkpoint_exits_2(self, tmp_path, synthetic_dir, capsys,
+                                                   value):
+        out = _quick_train(tmp_path, synthetic_dir)
+        meta, arrays = load_checkpoint(str(out / "best.ckpt"))
+        key = next(k for k in arrays if k.startswith("param."))
+        arrays[key][...] = float(value)
+        save_checkpoint(str(out / "best.ckpt"), arrays, meta)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                       "--data", str(synthetic_dir / "val.manifest"))
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {out / 'best.ckpt'}: parameter "
+                                           f"{key[len('param.'):]} holds non-finite values\n")
+
+    @pytest.mark.parametrize("command, what", [
+        ("prepare", "out-file"), ("train", "out-file"), ("export-attention", "out-file"),
+        ("train", "data-dir"), ("eval", "data-dir"), ("export-attention", "sample-dir"),
+    ], ids=["prepare-out-file", "train-out-file", "export-out-file", "train-data-dir",
+            "eval-data-dir", "export-sample-dir"])
+    def test_path_of_the_wrong_kind_exits_2(self, tmp_path, synthetic_dir, capsys,
+                                            command, what):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        paths = {"out": out, "data": synthetic_dir / "train.manifest",
+                 "sample": synthetic_dir / "val_00_0000.txt"}
+        bad = out if what == "out-file" else synthetic_dir
+        paths[what.split("-")[0]] = bad    # the case's path: "out", "data" or "sample"
+        ckpt = (str(_quick_train(tmp_path, synthetic_dir) / "best.ckpt")
+                if command in ("eval", "export-attention") else None)
+        argv = {"prepare": ["--synthetic", "--out", str(paths["out"])],
+                "train": ["--data", str(paths["data"]), "--out", str(paths["out"]),
+                          "--variant", "v2", "--encoder", "ff", "--segments", "2",
+                          "--frames-per-segment", "4", "--epochs", "1"],
+                "eval": ["--checkpoint", ckpt, "--data", str(paths["data"])],
+                "export-attention": ["--checkpoint", ckpt, "--sample", str(paths["sample"]),
+                                     "--out", str(paths["out"])]}[command]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 2
+        problem = "File exists" if what == "out-file" else "Is a directory"
+        assert capsys.readouterr().err.endswith(f"] {problem}: '{bad}'\n")
+        assert out.read_text() == "a file, not a directory\n"
 
     def test_nan_gradient_exits_3(self, tmp_path, synthetic_dir, capsys, monkeypatch):
         from tssan import training
@@ -587,6 +690,31 @@ class TestExportAttention:
                        "--layer", "5")
         assert code == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_out_of_range_segment_exits_2(self, tmp_path, trained, capsys):
+        run_dir, sample = trained
+        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
+                       "--sample", sample, "--out", str(tmp_path / "m"), "--segment", "2")
+        assert code == 2
+        assert capsys.readouterr().err == "error: segment 2 out of range [0, 2)\n"
+
+    def test_unknown_branch_exits_2(self, tmp_path, trained, capsys):
+        run_dir, sample = trained
+        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
+                       "--sample", sample, "--out", str(tmp_path / "m"), "--branch", "fused")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: unknown branch 'fused'; available: "
+                                           "['person0', 'person1']\n")
+
+    def test_one_layer_by_index(self, tmp_path, synthetic_dir):
+        run_dir = _quick_train(tmp_path, synthetic_dir, "--san-layers", "2")
+        export = tmp_path / "maps6"
+        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
+                       "--sample", str(synthetic_dir / "val_00_0000.txt"),
+                       "--out", str(export), "--layer", "0")
+        assert code == 0
+        assert sorted(p.name for p in export.iterdir()) == [
+            f"person0_layer0_head{h}.{ext}" for h in (0, 1) for ext in ("csv", "pgm")]
 
     def test_out_of_range_head_exits_2(self, tmp_path, trained):
         run_dir, sample = trained

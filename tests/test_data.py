@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tssan import data
+from tssan.checkpoint import load_checkpoint, save_checkpoint
 from tssan.cli import main
 from tssan.data import (
     DatasetManifest, SampleFormatError, SkeletonClip, ValidationError,
@@ -26,6 +28,17 @@ def _clip(positions, mask=None):
 
 def _random_clip(rng, frames=5, persons=2, joints=3, coords=3):
     return _clip(rng.normal(size=(frames, persons, joints, coords)))
+
+
+class TestSkeletonClip:
+    @pytest.mark.parametrize("positions, mask, message", [
+        (np.zeros((3, 2, 2)), np.ones(2), r"positions must be \(F, S, J, C\), got \(3, 2, 2\)"),
+        (np.zeros((3, 2, 2, 2)), np.ones(3), "one entry per person slot"),
+        (np.full((3, 2, 2, 2), np.inf), np.ones(2), "positions must be finite"),
+    ], ids=["3d", "mask-length", "non-finite"])
+    def test_bad_clip_rejected(self, positions, mask, message):
+        with pytest.raises(ValueError, match=message):
+            SkeletonClip(positions, mask)
 
 
 class TestMotion:
@@ -196,6 +209,24 @@ class TestSampleFiles:
         with pytest.raises(SampleFormatError, match="sample.txt:2"):
             load_sample(str(path))
 
+    @pytest.mark.parametrize("header, message", [
+        ("2 1 1 2.5 0", "non-integer header field in '2 1 1 2.5 0'"),
+        ("2 0 1 2 0", "header extents must be positive"),
+        ("2 1 1 2 -1", "header extents must be positive"),
+    ], ids=["non-integer", "zero-extent", "negative-label"])
+    def test_bad_header_field_rejected(self, tmp_path, header, message):
+        path = tmp_path / "sample.txt"
+        path.write_text(f"\n{header}\n0.5 1.5\n2.5 3.5\n")
+        with pytest.raises(SampleFormatError, match=rf"sample.txt:2: {re.escape(message)}"):
+            load_sample(str(path))
+
+    def test_label_disagreeing_with_manifest_fails_validation(self, tmp_path):
+        save_sample(str(tmp_path / "s.txt"), _random_clip(np.random.default_rng(11)), 0)
+        manifest = DatasetManifest(kind="synthetic", num_labels=4, split="train",
+                                   entries=[("s.txt", 1)], base_dir=str(tmp_path))
+        with pytest.raises(ValidationError, match="s.txt: label 0 disagrees with manifest 1"):
+            load_samples(manifest)
+
     def test_label_out_of_range_fails_validation(self, tmp_path):
         clip = _random_clip(np.random.default_rng(11), frames=3)
         save_sample(str(tmp_path / "s.txt"), clip, 9)
@@ -225,6 +256,22 @@ class TestSampleFiles:
         save_manifest(str(mpath), DatasetManifest(kind="synthetic", num_labels=2, split="val",
                                                   entries=[], base_dir=str(tmp_path)))
         with pytest.raises(SampleFormatError, match=rf"^{mpath}: manifest lists no samples$"):
+            load_manifest(str(mpath))
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind\tsynthetic\nnum_labels 2\n", ":2: expected 'key<TAB>value', got 'num_labels 2'"),
+        ("kind\tsynthetic\nnum_labels\t2\nsplit\tval\na.txt\tone\n",
+         ":4: non-integer label 'one'"),
+        ("kind\tsynthetic\nsplit\tval\na.txt\t0\n", ": missing header keys ['num_labels']"),
+        ("kind\tmocap\nnum_labels\t2\nsplit\tval\na.txt\t0\n",
+         ": unknown dataset kind 'mocap'"),
+        ("kind\tsynthetic\nnum_labels\ttwo\nsplit\tval\na.txt\t0\n",
+         ": num_labels must be an integer"),
+    ], ids=["no-tab", "label", "missing-key", "kind", "num-labels"])
+    def test_malformed_manifest_rejected(self, tmp_path, text, message):
+        mpath = tmp_path / "val.manifest"
+        mpath.write_text(text)
+        with pytest.raises(SampleFormatError, match=f"^{re.escape(str(mpath) + message)}$"):
             load_manifest(str(mpath))
 
     def test_kind_geometry_enforced(self, tmp_path):
@@ -460,7 +507,7 @@ class TestSamplePack:
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped-payload",
                                         "flipped-label", "forged-nan", "forged-shape",
-                                        "forged-empty", "forged-label"])
+                                        "forged-empty", "forged-label", "no-labels"])
     def test_unusable_pack_falls_back_to_text(self, tmp_path, parsed, damage):
         manifest = self._dataset(tmp_path)
         pack = tmp_path / "d" / "train.pack"
@@ -473,6 +520,9 @@ class TestSamplePack:
             pack.write_bytes(blob[:-20] + bytes([blob[-20] ^ 1]) + blob[-19:])
         elif damage == "flipped-label":
             pack.write_bytes(_flip_label_digit(blob))
+        elif damage == "no-labels":        # the arrays, with a meta of no labels object
+            meta, arrays = load_checkpoint(str(pack))
+            save_checkpoint(str(pack), arrays, {"labels": sorted(meta["labels"])})
         else:                              # a well-formed pack of entries no file parses to
             forged = {"forged-nan": lambda pos, label: (np.full_like(pos, np.nan), label),
                       "forged-shape": lambda pos, label: (pos[0], label),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ class TestFeedForwardEncoder:
 
 
 class TestCnnEncoder:
+    @pytest.mark.parametrize("shape", [(1, 4, 5, 2), (1, 4, 4, 3)], ids=["coords", "joints"])
+    def test_geometry_mismatch_rejected(self, shape):
+        enc = CnnEncoder(3, 5, np.random.default_rng(0), 0.5)
+        with pytest.raises(T.ShapeError, match=r"built for \(J=5, C=3\), got input shape "
+                                               + re.escape(str(shape))):
+            enc(Tensor(np.zeros(shape)))
+
     def test_ntu_shaped_output_width(self):
         # 2 persons x 25 joints -> J' = 50; output must be F x 512 = F x (8*64)
         enc = CnnEncoder(3, 50, np.random.default_rng(4), 0.5)

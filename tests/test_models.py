@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,20 @@ class TestShapesAndFiniteness:
             model(np.zeros((1, 4, 2, 3, 3)), np.zeros((1, 4, 2, 3, 2)))
         with pytest.raises(T.ShapeError):
             model(np.zeros((1, 4, 1, 3, 3)), np.zeros((1, 4, 1, 3, 3)))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("variant", "v4", "variant must be one of ('v1', 'v2', 'v3'), got 'v4'"),
+        ("encoder", "rnn", "encoder must be one of ('ff', 'cnn'), got 'rnn'"),
+        ("v3_inference", "max", "v3_inference must be 'concat' or 'mean', got 'max'"),
+        ("joints", 0, "all model extents must be positive"),
+        ("num_labels", -1, "all model extents must be positive"),
+        ("conv_dropout", 1.0, "conv_dropout must lie in [0, 1), got 1.0"),
+    ], ids=["variant", "encoder", "v3-inference", "joints-0", "labels-negative",
+            "conv-dropout"])
+    def test_bad_config_rejected(self, key, value, message):
+        kw = {"variant": "v1", key: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _config(kw.pop("variant"), **kw)
 
 
 class TestV1:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,18 @@ def _model(consensus="avg", variant="v2", segments=3, frames=4, **kw):
 def _pair(rng, frames=24, persons=2, joints=2, coords=3):
     return (rng.normal(size=(frames, persons, joints, coords)),
             rng.normal(size=(frames, persons, joints, coords)))
+
+
+class TestTsnConfig:
+    @pytest.mark.parametrize("kw, message", [
+        ({"segments": 0}, "segment count must be >= 1, got 0"),
+        ({"frames_per_segment": 1}, "frames_per_segment must be >= 2"),
+        ({"consensus": "median"}, "consensus must be one of ('avg', 'max'), got 'median'"),
+        ({"eval_crop": 0.0}, "eval_crop must lie in (0, 1], got 0.0"),
+    ], ids=["segments-0", "frames-1", "consensus", "eval-crop-0"])
+    def test_bad_setting_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TsnConfig(**kw)
 
 
 class TestSegmentSpans:

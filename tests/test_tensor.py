@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tssan import tensor as T
-from tssan.gradcheck import numeric_gradient, relative_error
+from tssan.gradcheck import check_parameter_gradients, numeric_gradient, relative_error
 from tssan.tensor import ShapeError, Tensor, backward
 
 from oracles import (amax_loops, conv2d_grad_loops, conv2d_loops, matmul_loops,
@@ -49,6 +50,10 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+    def test_one_d_operand_rejected(self):
+        with pytest.raises(ShapeError, match=r"2-D\+ operands, got \(3,\) and \(3, 2\)"):
+            T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
     def test_batched_broadcast_gradients(self):
         rng = np.random.default_rng(3)
@@ -167,6 +172,11 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))),
                      Tensor(np.zeros(3)))
 
+    def test_weight_not_4d_rejected(self):
+        with pytest.raises(ShapeError, match=r"weight must be 4-D .*got \(3, 2, 3\)"):
+            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 3))),
+                     Tensor(np.zeros(3)))
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
             T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))),
@@ -206,6 +216,10 @@ class TestMaxPool:
     def test_odd_width_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
             T.maxpool2d(Tensor(np.zeros((1, 2, 5))))
+
+    def test_window_taller_than_one_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(1, k\) windows only, got \(2, 2\)"):
+            T.maxpool2d(Tensor(np.zeros((1, 4, 4))), (2, 2))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -381,6 +395,11 @@ class TestLayerNorm:
         fd_check(lambda: T.tsum(T.layer_norm(x, gamma, beta) * mix),
                  [x, gamma, beta], tol=1e-5)
 
+    def test_single_feature_rejected(self):
+        gamma, beta = self._params(1)
+        with pytest.raises(ShapeError, match="feature axis of length >= 2, got 1"):
+            T.layer_norm(Tensor(np.zeros((3, 1))), gamma, beta)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -409,6 +428,14 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
             T.cross_entropy(Tensor(np.zeros((2, 4))), [0, 4])
+
+    @pytest.mark.parametrize("logits, labels", [((2, 4), (3,)), ((2, 2, 4), (2,)),
+                                                ((2, 4), (2, 1))],
+                             ids=["count", "logits-3d", "labels-2d"])
+    def test_shapes_that_disagree_rejected(self, logits, labels):
+        with pytest.raises(ShapeError, match=rf"\(B, L\) logits and \(B,\) labels, "
+                                             rf"got {re.escape(str(logits))}"):
+            T.cross_entropy(Tensor(np.zeros(logits)), np.zeros(labels, dtype=int))
 
 
 class TestDropout:
@@ -618,6 +645,13 @@ class TestMiscOps:
         expected = np.zeros((3, 4))
         expected[:, 0] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
+
+
+class TestGradcheck:
+    def test_parameter_without_gradient_rejected(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match="parameter w has no gradient"):
+            check_parameter_gradients(lambda: T.tsum(w).data, {"w": w})
 
 
 class TestDeterminismAndFiniteness:

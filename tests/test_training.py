@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import re
+import types
 
 import numpy as np
 import pytest
@@ -120,7 +122,24 @@ class TestEpochMechanics:
             assert not opt.m[name].any() and not opt.v[name].any()
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", float("inf"), "lr must be finite, got inf"),
+        ("weight_decay", float("inf"), "weight_decay must be finite, got inf"),
+        ("lr_factor", 1.0, "lr_factor must lie in (0, 1), got 1.0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ], ids=["lr-inf", "weight-decay-inf", "lr-factor-1", "seed-negative"])
+    def test_bad_setting_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{key: value})
+
+
 class TestEvaluate:
+    def test_empty_dataset_rejected(self):
+        model_cfg, tsn, _ = _tiny_configs()
+        with pytest.raises(ValueError, match="cannot evaluate an empty dataset"):
+            evaluate(build_ts_model(model_cfg, tsn, 0), [])
+
     def test_perfect_and_uniform_predictors(self):
         labels = np.array([0, 1, 2, 3])
         onehot = np.eye(4)
@@ -204,7 +223,9 @@ class TestCheckpointContainer:
         {"version": 1, "arrays": []},
         {"version": 1, "meta": {}},
         {"version": 1, "meta": {}, "arrays": [{"name": "w", "shape": [1], "nbytes": 8}]},
-    ], ids=["no-meta", "no-arrays", "no-offset"])
+        [],
+        {"version": 1, "meta": [], "arrays": []},
+    ], ids=["no-meta", "no-arrays", "no-offset", "not-an-object", "meta-not-an-object"])
     def test_malformed_header_rejected(self, tmp_path, header):
         import json, struct
         from tssan.checkpoint import MAGIC
@@ -213,6 +234,18 @@ class TestCheckpointContainer:
         path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
+
+    def test_file_shortened_while_loading_rejected(self, tmp_path, monkeypatch):
+        # the file loses its tail after its size was read: a short read, never
+        # an array left partly unread
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(10), "b": np.ones(3)}, {})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-12])
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+            with pytest.raises(CheckpointError, match="truncated payload at b$"):
+                load_checkpoint(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
@@ -321,9 +354,11 @@ class TestCheckpointContainer:
     @pytest.mark.parametrize("section, key, value", [
         ("model", "san_heads", 3), ("model", "san_layers", 0), ("model", "san_dropout", 1.5),
         ("model", "head_dropout", -0.1), ("model", "san_ff_width", -512),
-        ("train", "lr", float("nan")), ("train", "weight_decay", -1e-4)],
+        ("train", "lr", float("nan")), ("train", "weight_decay", -1e-4),
+        ("train", "weight_decay", float("inf")), ("train", "seed", -1)],
         ids=["san_heads-3", "san_layers-0", "san_dropout-1.5", "head_dropout--0.1",
-             "san_ff_width--512", "train-lr-nan", "train-weight_decay"])
+             "san_ff_width--512", "train-lr-nan", "train-weight_decay",
+             "train-weight_decay-inf", "train-seed-negative"])
     def test_stored_bad_model_config_rejected(self, tmp_path, section, key, value):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=1)
@@ -332,6 +367,33 @@ class TestCheckpointContainer:
         meta["configs"][section][key] = value
         save_checkpoint(run.last_path, arrays, meta)
         with pytest.raises(CheckpointError, match="unusable configs"):
+            load_model_from_checkpoint(run.last_path)
+
+    @pytest.mark.parametrize("damage", ["unexpected", "missing", "shape", "nan", "inf"])
+    def test_stored_parameters_must_fit_the_model(self, tmp_path, damage):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        meta, arrays = load_checkpoint(run.last_path)
+        key = next(k for k in arrays if k.startswith("param."))
+        name = key[len("param."):]
+        match = {"unexpected": r"parameter names disagree with the model: missing \[\], "
+                               r"unexpected \['zz'\]$",
+                 "missing": rf"parameter names disagree with the model: "
+                            rf"missing \['{re.escape(name)}'\], unexpected \[\]$",
+                 "shape": rf"shape mismatch for {re.escape(name)}: ",
+                 "nan": rf"parameter {re.escape(name)} holds non-finite values$",
+                 "inf": rf"parameter {re.escape(name)} holds non-finite values$"}[damage]
+        if damage == "unexpected":
+            arrays["param.zz"] = np.ones(2)
+        elif damage == "missing":
+            del arrays[key]
+        elif damage == "shape":
+            arrays[key] = arrays[key][..., None]
+        else:
+            arrays[key][(0,) * arrays[key].ndim] = float(damage)
+        save_checkpoint(run.last_path, arrays, meta)
+        with pytest.raises(CheckpointError, match=match):
             load_model_from_checkpoint(run.last_path)
 
     @pytest.mark.parametrize("key, value, match", [
@@ -450,7 +512,7 @@ class TestRunTraining:
                                resume_from=str(tmp_path / "x" / "last.ckpt"))
         assert [r.epoch for r in resumed.history] == [2, 3]
         meta, _ = load_checkpoint(resumed.last_path)
-        assert meta["configs"]["train"] == longer.to_dict()
+        assert meta["configs"]["train"] == dataclasses.asdict(longer)
         # 12 samples in batches of 2: six Adam steps per resumed epoch
         assert meta["adam"]["step_count"] == 3 + 2 * 6
 
