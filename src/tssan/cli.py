@@ -54,8 +54,13 @@ _PARSERS = {"int": int, "float": float, "str": str,
 
 def read_config_file(path: str) -> dict[str, dict]:
     """Parse and type-check an INI config; unknown sections/keys are errors."""
-    parser = configparser.ConfigParser()
-    loaded = parser.read(path)
+    # no section is the default one, so a [DEFAULT] header is an unknown
+    # section instead of keys that every section silently takes
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise CliError(f"{path}: not a valid config file: {' '.join(str(exc).split())}") from exc
     if not loaded:
         raise CliError(f"config file not found: {path}")
     out: dict[str, dict] = {}
@@ -129,6 +134,11 @@ def cmd_prepare(args) -> int:
     if args.synthetic and args.num_labels is not None:
         raise CliError("--num-labels is for --input mode; --synthetic takes its "
                        "label count from --labels")
+    if args.synthetic and args.input is not None:
+        raise CliError("--synthetic generates its samples and --input reads them "
+                       "from a directory; pass one of the two")
+    if args.val_per_label < 0:
+        raise CliError(f"--val-per-label must be at least 0, got {args.val_per_label}")
     os.makedirs(args.out, exist_ok=True)
     if args.synthetic:
         splits = [("train", args.per_label, args.seed)]
@@ -249,12 +259,16 @@ _RUN_FILES = ("config.ini", "metrics.log", "best.ckpt", "last.ckpt")
 
 
 def cmd_train(args) -> int:
-    # a fresh run would append to the held run's metrics.log and overwrite
-    # its checkpoints
+    # a run into another run's --out would append to its metrics.log and
+    # overwrite its checkpoints; a resume may write into its checkpoint's own
     held = [name for name in _RUN_FILES if os.path.exists(os.path.join(args.out, name))]
     if held and args.resume is None:
         raise CliError(f"--out {args.out} already holds a run ({', '.join(held)}); "
                        f"continue it with --resume or train into another directory")
+    if held and not os.path.samefile(os.path.dirname(args.resume) or ".", args.out):
+        raise CliError(f"--out {args.out} already holds another run ({', '.join(held)}); "
+                       f"a resume writes into the directory of its checkpoint or into "
+                       f"one that holds no run")
     manifest = load_manifest(args.data)
     raw = load_samples(manifest)
     model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, raw[0].clip)

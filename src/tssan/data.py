@@ -6,7 +6,9 @@ are zero-padded and flagged invalid.  The frame-axis transforms act on
 plain arrays along axis 0, so positions and motions share them and padded
 slots stay at zero; ``segments.sample_segments`` applies them per segment.
 
-Text sample files are the interchange format.  Next to each
+Text sample files are the interchange format.  They are parsed in one
+walk over their rows, in file order, which names the first bad line
+(:func:`_parse_sample`).  Next to each
 ``<split>.manifest``, ``prepare`` also writes a ``<split>.pack``: a
 checkpoint container (``checkpoint.py``) that maps the SHA-256 of each
 sample file's bytes to the float64 positions and the header label that
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,9 +225,6 @@ def _decode(path: str, data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-_COMMENT = re.compile(r"#[^\n]*")
-
-
 def load_sample(path: str) -> LabeledSample:
     """Read a sample file (format: :func:`save_sample`) into a labelled clip."""
     return _parse_sample(path, _read_bytes(path))
@@ -242,22 +240,19 @@ def read_sample(path: str) -> tuple[LabeledSample, str]:
 def _parse_sample(path: str, data: bytes) -> LabeledSample:
     """The labelled clip of the sample file ``path`` whose bytes are ``data``.
 
-    The data rows are split and converted in bulk.  When their count, a
-    row's width or a value is wrong, :func:`_raise_first_bad_row` walks
-    the rows one by one to name the first bad line; a non-finite value is
-    found in the converted values.
+    One walk over the rows that :func:`_data_lines` yields: the first is
+    the header, and each later row is checked in file order for its
+    position (none beyond F*S*J), its width (C values) and its values (each
+    a ``float``), so the error names the first bad line.  Once every row is
+    read, the count is checked, and then the first row holding a
+    non-finite value is named.
     """
-    text = _decode(path, data)
-    bare = _COMMENT.sub("", text) if "#" in text else text
     # lines end at "\n" only, as in file iteration: other str.split()
     # whitespace such as "\x0c" or "\x1c" separates values within a line
-    lines = bare.split("\n")
-    widths = list(map(len, map(str.split, lines)))
-    start = next((i for i, w in enumerate(widths) if w), None)
-    if start is None:
+    rows = list(_data_lines(_decode(path, data).split("\n")))
+    if not rows:
         raise SampleFormatError(f"{path}:1: empty sample file")
-    lineno, header = start + 1, lines[start].strip()
-    del lines                  # freed, so the peak is the text plus its tokens
+    (lineno, header), rows = rows[0], rows[1:]
     parts = header.split()
     if len(parts) != 5:
         raise SampleFormatError(f"{path}:{lineno}: header must be 'F S J C label', got {header!r}")
@@ -272,36 +267,7 @@ def _parse_sample(path: str, data: bytes) -> LabeledSample:
                                 f"to derive motion, got {frames}")
 
     expected = frames * persons * joints
-    rows = widths[start + 1:]              # 0 for a blank or comment-only line
-    values = None
-    if set(rows) - {0} == {coords} and len(rows) - rows.count(0) == expected:
-        tokens = bare.split()
-        del tokens[:5]                     # the header's
-        try:
-            # float64 from str calls float() per value, as the row walk does
-            values = np.array(tokens, dtype=np.float64)
-        except ValueError:
-            pass
-    if values is None or not np.isfinite(values).all():
-        data_rows = list(_data_lines(text.split("\n")))[1:]
-        if values is None:
-            _raise_first_bad_row(path, data_rows, expected, coords)
-        finite = np.isfinite(values.reshape(expected, coords)).all(axis=1)
-        lineno, line = data_rows[int(np.argmin(finite))]
-        raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-
-    return _labeled(path, values.reshape(frames, persons, joints, coords), label)
-
-
-def _labeled(path: str, positions: np.ndarray, label: int) -> LabeledSample:
-    """A file's clip: a person slot is valid when any of its values is nonzero."""
-    mask = np.abs(positions).sum(axis=(0, 2, 3)) > 0
-    return LabeledSample(SkeletonClip(positions, mask), label, os.path.basename(path))
-
-
-def _raise_first_bad_row(path: str, rows, expected: int, coords: int):
-    """Raise a :class:`SampleFormatError` naming the first bad one of the
-    (lineno, line) data rows, walked one at a time, whose bulk read failed."""
+    values: list[float] = []
     for count, (lineno, line) in enumerate(rows):
         if count >= expected:
             raise SampleFormatError(f"{path}:{lineno}: trailing data beyond {expected} rows")
@@ -309,11 +275,23 @@ def _raise_first_bad_row(path: str, rows, expected: int, coords: int):
         if len(fields) != coords:
             raise SampleFormatError(f"{path}:{lineno}: expected {coords} values, got {len(fields)}")
         try:
-            list(map(float, fields))
+            values.extend(map(float, fields))
         except ValueError:
             raise SampleFormatError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-    # every row read and none beyond ``expected``: the bulk read failed on the count
-    raise SampleFormatError(f"{path}: truncated: {len(rows)} of {expected} data rows")
+    if len(rows) != expected:
+        raise SampleFormatError(f"{path}: truncated: {len(rows)} of {expected} data rows")
+    positions = np.array(values, dtype=np.float64).reshape(expected, coords)
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        lineno, line = rows[int(np.argmin(finite))]
+        raise SampleFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+    return _labeled(path, positions.reshape(frames, persons, joints, coords), label)
+
+
+def _labeled(path: str, positions: np.ndarray, label: int) -> LabeledSample:
+    """A file's clip: a person slot is valid when any of its values is nonzero."""
+    mask = np.abs(positions).sum(axis=(0, 2, 3)) > 0
+    return LabeledSample(SkeletonClip(positions, mask), label, os.path.basename(path))
 
 
 _MANIFEST_KEYS = ("kind", "num_labels", "split")

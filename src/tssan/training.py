@@ -296,6 +296,9 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                 if not m.shape == v.shape == p.data.shape:
                     raise CheckpointError(f"{resume_from}: moment shapes for {name} "
                                           f"differ from {p.data.shape}")
+                if not (np.isfinite(m).all() and (v >= 0).all() and np.isfinite(v).all()):
+                    raise CheckpointError(f"{resume_from}: moments for {name} must be "
+                                          f"finite, and adam.v >= 0")
                 optimizer.m[name], optimizer.v[name] = m, v
             optimizer.step_count = int(meta["adam"]["step_count"])
             optimizer.lr = float(meta["adam"]["lr"])

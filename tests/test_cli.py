@@ -175,6 +175,24 @@ class TestPrepare:
                                            "--synthetic takes its label count from --labels\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--synthetic", "--input", "{clips}"),
+         "--synthetic generates its samples and --input reads them from a directory; "
+         "pass one of the two"),
+        (("--synthetic", "--val-per-label", "-1"), "--val-per-label must be at least 0, got -1"),
+        (("--input", "{clips}", "--val-per-label", "-2"),
+         "--val-per-label must be at least 0, got -2"),
+    ], ids=["synthetic-and-input", "synthetic-val-per-label-negative",
+            "input-val-per-label-negative"])
+    def test_contradictory_mode_flags_exit_2(self, tmp_path, capsys, flags, message):
+        clips = _clip_dir(tmp_path, {"a.txt": (3, 2)})
+        out = tmp_path / "o"
+        code = run_cli("prepare", "--out", str(out),
+                       *(flag.format(clips=clips) for flag in flags))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):
         folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "short.txt": (1, 2)})
         code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
@@ -248,11 +266,30 @@ class TestTrainEval:
          "{cfg} [tsn] train_crop: cannot parse '0.5, high' as tuple"),
         ("[optim]\nlr = 0.1\n", "{cfg}: unknown config section [optim]"),
         (None, "config file not found: {cfg}"),
-    ], ids=["int", "tuple", "section", "missing"])
+        ("[train]\nepochs = 1\n[train]\nlr = 0.1\n",
+         "{cfg}: not a valid config file: While reading from '{cfg}' [line 3]: "
+         "section 'train' already exists"),
+        ("[train]\nepochs = 1\nepochs = 2\n",
+         "{cfg}: not a valid config file: While reading from '{cfg}' [line 3]: "
+         "option 'epochs' in section 'train' already exists"),
+        ("epochs = 1\n[train]\n",
+         "{cfg}: not a valid config file: File contains no section headers. "
+         "file: '{cfg}', line: 1 'epochs = 1\\n'"),
+        ("[train]\nepochs\n",
+         "{cfg}: not a valid config file: Source contains parsing errors: '{cfg}' "
+         "[line 2]: 'epochs\\n'"),
+        ("[train]\nlr = 1e-3%\n", "{cfg} [train] lr: cannot parse '1e-3%' as float"),
+        ("[DEFAULT]\nepochs = 3\n", "{cfg}: unknown config section [DEFAULT]"),
+        ("[train]\nlr = 0.1 \xe9\n",
+         "{cfg}: not a valid config file: 'utf-8' codec can't decode byte 0xe9 in "
+         "position 17: invalid continuation byte"),
+    ], ids=["int", "tuple", "section", "missing", "duplicate-section", "duplicate-key",
+            "no-section-header", "unparseable-line", "percent", "default-section",
+            "not-utf8"])
     def test_bad_config_file_exits_2(self, tmp_path, synthetic_dir, capsys, text, message):
         cfg = tmp_path / "bad.ini"
         if text is not None:
-            cfg.write_text(text)
+            cfg.write_text(text, encoding="latin-1")    # so "\xe9" is not UTF-8
         code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
                        "--out", str(tmp_path / "o"), "--config", str(cfg))
         assert code == 2
@@ -406,6 +443,22 @@ class TestTrainEval:
         if held != "all":
             assert f"({held})" in err
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_resume_into_another_held_run_exits_2(self, tmp_path, synthetic_dir, capsys):
+        run_a = _quick_train(tmp_path / "a", synthetic_dir)
+        run_b = _quick_train(tmp_path / "b", synthetic_dir, "--seed", "4")
+        before = {name: (run_b / name).read_bytes() for name in os.listdir(run_b)}
+        capsys.readouterr()
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--val", str(synthetic_dir / "val.manifest"), "--out", str(run_b),
+                       "--config", str(run_a / "config.ini"), "--epochs", "4", "--quiet",
+                       "--resume", str(run_a / "last.ckpt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {run_b} already holds another run (config.ini, metrics.log, "
+            f"best.ckpt, last.ckpt); a resume writes into the directory of its checkpoint "
+            f"or into one that holds no run\n")
+        assert {name: (run_b / name).read_bytes() for name in os.listdir(run_b)} == before
 
     def test_resume_names_only_a_best_checkpoint_it_wrote(self, tmp_path, synthetic_dir,
                                                           capsys, monkeypatch):

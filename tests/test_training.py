@@ -27,6 +27,15 @@ def _tiny_configs(**train_kw):
     return model, tsn, TrainConfig(**kw)
 
 
+def _first_value(value):
+    """A moment edit: a copy whose first value is ``value``."""
+    def edit(moment):
+        moment = moment.copy()
+        moment.flat[0] = value
+        return moment
+    return edit
+
+
 def _tiny_dataset(tmp_path, per_label=4, num_labels=3, noise=0.05, seed=1,
                   split="train"):
     manifest = make_synthetic_dataset(str(tmp_path / split), num_labels=num_labels,
@@ -404,8 +413,12 @@ class TestCheckpointContainer:
         ("best_top1", None, "unusable training state"),
         ("adam.m", None, "unusable training state"),
         ("adam.v", lambda moment: moment[..., None], "moment shapes .* differ"),
+        ("adam.m", _first_value(np.nan), r"moments for .* must be finite, and adam.v >= 0$"),
+        ("adam.m", _first_value(-np.inf), r"moments for .* must be finite, and adam.v >= 0$"),
+        ("adam.v", _first_value(np.inf), r"moments for .* must be finite, and adam.v >= 0$"),
+        ("adam.v", _first_value(-1.0), r"moments for .* must be finite, and adam.v >= 0$"),
     ], ids=["adam", "scheduler", "rng_state", "epoch", "best_top1", "missing-moment",
-            "moment-shape"])
+            "moment-shape", "m-nan", "m-inf", "v-inf", "v-negative"])
     def test_bad_resume_state_rejected(self, tmp_path, key, value, match):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=1)
