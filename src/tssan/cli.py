@@ -99,24 +99,32 @@ def write_config_echo(path: str, model: ModelConfig, tsn: TsnConfig,
 # ---------------------------------------------------------------------------
 # prepare
 
+# the flags that only --synthetic reads (by dest), and the value each takes
+# when not given
+_SYNTHETIC_ONLY = {"seed": (int, 0, "sample seed; the val split takes seed + 1"),
+                   "labels": (int, 4, "label count"),
+                   "per_label": (int, 50, "train samples per label"),
+                   "val_per_label": (int, 0, "also emit a held-out split with this "
+                                             "many samples per label"),
+                   "frames": (int, 48, "frames per clip"),
+                   "joints": (int, 5, "joints per person"),
+                   "persons": (int, 2, "persons per frame"),
+                   "coords": (int, 3, "coordinates per joint"),
+                   "noise": (float, 0.05, "coordinate noise scale")}
+
+
 def _add_prepare(sub):
     p = sub.add_parser("prepare", help="build a dataset manifest (synthetic or "
                                        "from a directory of sample files)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--synthetic", action="store_true",
                    help="generate the separable synthetic benchmark")
-    p.add_argument("--labels", type=int, default=4)
-    p.add_argument("--per-label", type=int, default=50)
-    p.add_argument("--val-per-label", type=int, default=0,
-                   help="also emit a held-out split with this many samples per label")
-    p.add_argument("--frames", type=int, default=48)
-    p.add_argument("--joints", type=int, default=5)
-    p.add_argument("--persons", type=int, default=2)
-    p.add_argument("--coords", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.05)
+    for dest, (kind, default, text) in _SYNTHETIC_ONLY.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind,
+                       help=f"{text} (--synthetic only, default {default})")
     p.add_argument("--input", help="directory of existing sample .txt files")
-    p.add_argument("--kind", choices=sorted(DATASET_KINDS), default="synthetic")
+    p.add_argument("--kind", choices=sorted(DATASET_KINDS),
+                   help="dataset kind for --input mode (default synthetic)")
     p.add_argument("--num-labels", type=int, help="label count for --input mode")
     p.set_defaults(func=cmd_prepare)
 
@@ -131,16 +139,21 @@ def _summarize(manifest, out):
 
 
 def cmd_prepare(args) -> int:
-    if args.synthetic and args.num_labels is not None:
-        raise CliError("--num-labels is for --input mode; --synthetic takes its "
-                       "label count from --labels")
-    if args.synthetic and args.input is not None:
-        raise CliError("--synthetic generates its samples and --input reads them "
-                       "from a directory; pass one of the two")
-    if args.val_per_label < 0:
+    if args.val_per_label is not None and args.val_per_label < 0:
         raise CliError(f"--val-per-label must be at least 0, got {args.val_per_label}")
-    os.makedirs(args.out, exist_ok=True)
     if args.synthetic:
+        if args.num_labels is not None:
+            raise CliError("--num-labels is for --input mode; --synthetic takes its "
+                           "label count from --labels")
+        if args.kind is not None:
+            raise CliError("--kind is for --input mode; --synthetic always writes "
+                           "kind synthetic")
+        if args.input is not None:
+            raise CliError("--synthetic generates its samples and --input reads them "
+                           "from a directory; pass one of the two")
+        for dest, (_, default, _) in _SYNTHETIC_ONLY.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
         splits = [("train", args.per_label, args.seed)]
         if args.val_per_label > 0:
             splits.append(("val", args.val_per_label, args.seed + 1))
@@ -156,6 +169,12 @@ def cmd_prepare(args) -> int:
         return 0
     if not args.input:
         raise CliError("prepare needs either --synthetic or --input DIR")
+    given = ["--" + dest.replace("_", "-") for dest in _SYNTHETIC_ONLY
+             if getattr(args, dest) is not None]
+    if given:
+        raise CliError(f"{', '.join(given)}: only --synthetic reads "
+                       f"{'this flag' if len(given) == 1 else 'these flags'}; "
+                       f"--input indexes the sample files as they are")
     if not os.path.isdir(args.input):
         raise CliError(f"input directory not found: {args.input}")
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".txt"))
@@ -168,11 +187,12 @@ def cmd_prepare(args) -> int:
     entries = [(os.path.relpath(path, args.out), sample.label)
                for path, sample in zip(paths, samples)]
     num_labels = args.num_labels or max(s.label for s in samples) + 1
-    manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
+    manifest = DatasetManifest(kind=args.kind or "synthetic", num_labels=num_labels,
                                split="train", entries=entries, base_dir=args.out)
     # the samples are checked as already loaded, before anything is written
     for (rel, label), sample in zip(entries, samples):
         validate_sample(manifest, rel, label, sample)
+    os.makedirs(args.out, exist_ok=True)
     save_pack(pack_path(manifest), ((digest, sample.clip.positions, sample.label)
                                     for digest, sample in zip(digests, samples)))
     path = os.path.join(args.out, "train.manifest")

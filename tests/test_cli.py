@@ -91,12 +91,14 @@ class TestPrepare:
         code = run_cli("prepare", "--out", str(tmp_path / "x"), "--input", str(tmp_path / "in"))
         assert code == 2
         assert capsys.readouterr().err == f"error: no .txt sample files under {tmp_path / 'in'}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_missing_input_dir_exits_2(self, tmp_path, capsys):
         code = run_cli("prepare", "--out", str(tmp_path / "x"),
                        "--input", str(tmp_path / "nope"))
         assert code == 2
         assert "not found" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_input_directory_mode(self, tmp_path, synthetic_dir):
         out = tmp_path / "indexed"
@@ -182,8 +184,11 @@ class TestPrepare:
         (("--synthetic", "--val-per-label", "-1"), "--val-per-label must be at least 0, got -1"),
         (("--input", "{clips}", "--val-per-label", "-2"),
          "--val-per-label must be at least 0, got -2"),
+        (("--synthetic", "--labels", "2", "--per-label", "2", "--frames", "4",
+          "--joints", "2", "--kind", "ntu"),
+         "--kind is for --input mode; --synthetic always writes kind synthetic"),
     ], ids=["synthetic-and-input", "synthetic-val-per-label-negative",
-            "input-val-per-label-negative"])
+            "input-val-per-label-negative", "synthetic-kind"])
     def test_contradictory_mode_flags_exit_2(self, tmp_path, capsys, flags, message):
         clips = _clip_dir(tmp_path, {"a.txt": (3, 2)})
         out = tmp_path / "o"
@@ -191,6 +196,22 @@ class TestPrepare:
                        *(flag.format(clips=clips) for flag in flags))
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "3"), ("--labels", "2"), ("--per-label", "5"), ("--val-per-label", "3"),
+        ("--frames", "8"), ("--joints", "2"), ("--persons", "1"), ("--coords", "2"),
+        ("--noise", "0.1"), ("--labels", "2", "--val-per-label", "0"),
+    ], ids=lambda flags: "+".join(flags[::2]).replace("--", ""))
+    def test_synthetic_only_flag_in_input_mode_exits_2(self, tmp_path, capsys, flags):
+        clips = _clip_dir(tmp_path, {"a.txt": (3, 2)})
+        out = tmp_path / "o"
+        code = run_cli("prepare", "--out", str(out), "--input", str(clips), *flags)
+        assert code == 2
+        named = ", ".join(flags[::2])
+        what = "this flag" if len(flags) == 2 else "these flags"
+        assert capsys.readouterr().err == (f"error: {named}: only --synthetic reads {what}; "
+                                           f"--input indexes the sample files as they are\n")
         assert not out.exists()
 
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import os
 import re
+import threading
+import time
 import types
 
 import numpy as np
@@ -274,6 +276,82 @@ class TestCheckpointContainer:
         payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays.values())
         assert blob[-4 - len(payload):-4] == payload
         assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+
+    def test_failed_save_leaves_no_tmp(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, {"w": np.ones(3)}, {"n": 1})
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"b": np.array(["x"])}, {})
+        assert sorted(os.listdir(tmp_path)) == ["c.ckpt"]
+        assert load_checkpoint(path)[0] == {"n": 1}
+
+    def test_save_over_a_directory_cleans_up(self, tmp_path):
+        target = tmp_path / "d.ckpt"
+        target.mkdir()
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(str(target), {"w": np.ones(3)}, {})
+        # the directory was opened and held, then closed on this thread
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert sorted(os.listdir(tmp_path)) == ["d.ckpt"] and target.is_dir()
+
+    def test_replacing_saves_release_the_old_files(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        before = len(os.listdir("/proc/self/fd"))
+        for step in range(3):
+            save_checkpoint(path, {"w": np.full(1000, float(step))}, {"step": step})
+        # each held fd is closed off this thread, so poll for the count
+        deadline = time.monotonic() + 5.0
+        while len(os.listdir("/proc/self/fd")) != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert load_checkpoint(path)[0] == {"step": 2}
+
+    def test_open_reader_keeps_the_replaced_file(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, {"w": np.zeros(4)}, {"v": "old"})
+        with open(path, "rb") as reader:
+            old = reader.read()
+            reader.seek(0)
+            save_checkpoint(path, {"w": np.ones(4), "b": np.arange(2.0)}, {"v": "new"})
+            assert reader.read() == old
+        meta, arrays = load_checkpoint(path)
+        assert meta == {"v": "new"}
+        np.testing.assert_array_equal(arrays["w"], np.ones(4))
+        np.testing.assert_array_equal(arrays["b"], np.arange(2.0))
+        assert sorted(os.listdir(tmp_path)) == ["c.ckpt"]
+
+    def test_unopenable_old_file_is_still_replaced(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, {"w": np.zeros(2)}, {"v": 1})
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("refused")
+
+        monkeypatch.setattr("tssan.checkpoint.os.open", refuse)
+        save_checkpoint(path, {"w": np.ones(2)}, {"v": 2})
+        monkeypatch.undo()
+        meta, arrays = load_checkpoint(path)
+        assert meta == {"v": 2}
+        np.testing.assert_array_equal(arrays["w"], np.ones(2))
+
+    def test_fifo_at_path_is_replaced_without_blocking(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        os.mkfifo(path)
+        errors = []
+
+        def save():
+            try:
+                save_checkpoint(path, {"w": np.ones(2)}, {"v": 1})
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        worker = threading.Thread(target=save, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "save blocked on the FIFO"
+        assert errors == []
+        assert load_checkpoint(path)[0] == {"v": 1}
 
     def test_version_1_file_loads(self, tmp_path):
         import json, struct
