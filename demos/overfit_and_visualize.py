@@ -1,9 +1,9 @@
 """Train a small model on synthetic data and export attention heatmaps.
 
 End-to-end narrative: prepare a dataset, overfit a compact two-segment
-model with the feed-forward encoder, evaluate it, then dump the last
-layer's attention probability matrices for one validation clip as CSV and
-PGM files (brighter pixel = higher probability).
+model with the feed-forward encoder, evaluate it, then dump every
+attention probability matrix of one validation clip (each segment, person,
+layer and head) as CSV and PGM files (brighter pixel = higher probability).
 
 Run:  python3 demos/overfit_and_visualize.py   (takes a minute or two)
 """
@@ -40,7 +40,7 @@ for argv in steps:
 sample = sorted(p for p in os.listdir(data) if p.startswith("val") and
                 p.endswith(".txt"))[0]
 argv = ["export-attention", "--checkpoint", os.path.join(run, "best.ckpt"),
-        "--sample", os.path.join(data, sample), "--out", maps, "--all-layers"]
+        "--sample", os.path.join(data, sample), "--out", maps]
 print(f"\n$ tssan {' '.join(argv)}")
 tssan_cli(argv)
 

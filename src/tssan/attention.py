@@ -49,17 +49,6 @@ class AttentionTrace:
     def batch_slice(self, start: int, stop: int) -> "AttentionTrace":
         return AttentionTrace(self.stacked[:, start:stop])
 
-    @property
-    def num_layers(self) -> int:
-        return self.stacked.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.stacked.shape[2]
-
-    def matrix(self, layer: int, head: int, index: int = 0) -> np.ndarray:
-        return self.stacked[layer, index, head]
-
 
 def position_embed(x: Tensor, table: Tensor) -> Tensor:
     """Add the first F rows of the learned position table to each frame."""

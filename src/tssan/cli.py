@@ -340,16 +340,11 @@ def cmd_eval(args) -> int:
 
 def _add_export(sub):
     p = sub.add_parser("export-attention",
-                       help="dump attention probability matrices as CSV + PGM")
+                       help="write every attention probability matrix of one sample "
+                            "as segment<k>_<branch>_layer<l>_head<h>.csv + .pgm")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sample", required=True, help="sample file to trace")
     p.add_argument("--out", required=True)
-    p.add_argument("--all-layers", action="store_true")
-    p.add_argument("--layer", type=int, help="one layer index (default: last)")
-    p.add_argument("--head", type=int, help="one head index (default: all heads)")
-    p.add_argument("--segment", type=int, default=0)
-    p.add_argument("--branch", help="trace branch (fused / person0.. / position "
-                                    "/ motion); default: first available")
     p.set_defaults(func=cmd_export_attention)
 
 
@@ -379,37 +374,17 @@ def cmd_export_attention(args) -> int:
     with no_grad():
         out = model.forward_batch([(sample.positions, sample.motions)])
 
-    if not 0 <= args.segment < len(out.traces):
-        raise CliError(f"segment {args.segment} out of range "
-                       f"[0, {len(out.traces)})")
-    branches = out.traces[args.segment]
-    branch = args.branch or next(iter(branches))
-    if branch not in branches:
-        raise CliError(f"unknown branch {branch!r}; available: {sorted(branches)}")
-    trace = branches[branch]
-
-    num_layers, heads = trace.num_layers, trace.heads
-    if args.layer is not None and not 0 <= args.layer < num_layers:
-        raise CliError(f"layer {args.layer} out of range [0, {num_layers})")
-    if args.head is not None and not 0 <= args.head < heads:
-        raise CliError(f"head {args.head} out of range [0, {heads})")
-    if args.all_layers:
-        layers = range(num_layers)
-    elif args.layer is not None:
-        layers = [args.layer]
-    else:
-        layers = [num_layers - 1]
-    head_list = range(heads) if args.head is None else [args.head]
-
     os.makedirs(args.out, exist_ok=True)
     count = 0
-    for layer in layers:
-        for head in head_list:
-            matrix = trace.matrix(layer, head, index=0)
-            stem = os.path.join(args.out, f"{branch}_layer{layer}_head{head}")
-            write_matrix_csv(stem + ".csv", matrix)
-            write_pgm(stem + ".pgm", matrix)
-            count += 2
+    for segment, branches in enumerate(out.traces):
+        for branch, trace in branches.items():
+            for layer, heads in enumerate(trace.stacked[:, 0]):
+                for head, matrix in enumerate(heads):
+                    stem = os.path.join(args.out,
+                                        f"segment{segment}_{branch}_layer{layer}_head{head}")
+                    write_matrix_csv(stem + ".csv", matrix)
+                    write_pgm(stem + ".pgm", matrix)
+                    count += 2
     print(f"wrote {count} files to {args.out}")
     return 0
 

@@ -93,10 +93,11 @@ def prepare_samples(samples: list[LabeledSample]) -> list[PreparedSample]:
 
 
 def _batches(count: int, batch_size: int, order: np.ndarray):
-    """Final short batch is kept unless it degenerates to a single sample."""
+    """Final short batch is kept unless it degenerates to a single sample
+    after batches of more."""
     for start in range(0, count, batch_size):
         chunk = order[start:start + batch_size]
-        if len(chunk) == 1 and count > 1:
+        if len(chunk) == 1 and count > 1 and batch_size > 1:
             return
         yield chunk
 
@@ -169,6 +170,13 @@ class TrainingRun:
     history: list[MetricsRecord] = field(default_factory=list)
     best_top1: float = -1.0
     bad_epochs: int = 0
+
+
+def _stored_count(name: str, value) -> int:
+    """A stored epoch or step count: an int (not a bool) >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    return value
 
 
 _META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
@@ -263,8 +271,9 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     else at ``plateau_patience`` bad epochs in a row the lr is scaled by
     ``lr_factor`` and the count resets.  Records keep the lr an epoch used,
     checkpoints the lr the next one uses.  A resume changing more than
-    ``epochs`` and ``batch_size`` is a CheckpointError.  ``on_start`` runs
-    once a resume is accepted, before the first epoch.
+    ``epochs`` and ``batch_size``, or asking for fewer epochs than its
+    checkpoint has run, is a CheckpointError.  ``on_start`` runs once a
+    resume is accepted, before the first epoch.
     """
     configs = {"model": asdict(model_config), "tsn": asdict(tsn_config),
                "train": asdict(train_config)}
@@ -300,15 +309,23 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                     raise CheckpointError(f"{resume_from}: moments for {name} must be "
                                           f"finite, and adam.v >= 0")
                 optimizer.m[name], optimizer.v[name] = m, v
-            optimizer.step_count = int(meta["adam"]["step_count"])
+            optimizer.step_count = _stored_count("adam.step_count", meta["adam"]["step_count"])
             optimizer.lr = float(meta["adam"]["lr"])
-            run.bad_epochs = int(meta["scheduler"]["bad_epochs"])
+            if not (optimizer.lr >= 0 and math.isfinite(optimizer.lr)):
+                raise ValueError(f"adam.lr must be finite and >= 0, got {optimizer.lr!r}")
+            run.bad_epochs = _stored_count("scheduler.bad_epochs",
+                                           meta["scheduler"]["bad_epochs"])
             run.best_top1 = float(meta["best_top1"])
+            if not 0 <= run.best_top1 <= 1:
+                raise ValueError(f"best_top1 must lie in [0, 1], got {run.best_top1!r}")
             rng.bit_generator.state = meta["rng_state"]
-            start_epoch = int(meta["epoch"])
+            start_epoch = _stored_count("epoch", meta["epoch"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"{resume_from}: unusable training state in meta "
                                   f"({exc!r})") from exc
+        if train_config.epochs < start_epoch:
+            raise CheckpointError(f"{resume_from}: the run has trained {start_epoch} epochs, "
+                                  f"more than the {train_config.epochs} asked for")
         # a best.ckpt here is the resumed run's only if it resumes from here
         if os.path.exists(best_path) and os.path.samefile(
                 os.path.dirname(resume_from) or ".", out_dir):

@@ -228,6 +228,10 @@ class TestSanBlock:
         assert max(errors.values()) <= 1e-4, errors
 
     def test_attention_trace_accessors(self):
-        trace = AttentionTrace(np.full((2, 2, 3, 4, 4), 0.25))  # (layers, B, heads, F, F)
-        assert trace.num_layers == 2 and trace.heads == 3
-        np.testing.assert_array_equal(trace.matrix(1, 2, 1), np.full((4, 4), 0.25))
+        # (layers, B, heads, F, F), every value distinct
+        stacked = np.arange(2 * 3 * 2 * 4 * 4.0).reshape(2, 3, 2, 4, 4)
+        trace = AttentionTrace(stacked)
+        assert trace.stacked is stacked
+        part = trace.batch_slice(1, 3)
+        assert isinstance(part, AttentionTrace) and part.stacked.shape == (2, 2, 2, 4, 4)
+        np.testing.assert_array_equal(part.stacked, stacked[:, 1:3])

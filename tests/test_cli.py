@@ -541,6 +541,30 @@ class TestTrainEval:
         assert (resumed / "metrics.log").read_text().startswith("epoch=3 ")
         assert "batch_size = 2" in (resumed / "config.ini").read_text()
 
+    def test_resume_to_fewer_epochs_exits_2(self, tmp_path, synthetic_dir, capsys):
+        out = _quick_train(tmp_path, synthetic_dir)
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+
+        def resume(epochs):
+            return run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                           "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
+                           "--config", str(out / "config.ini"), "--epochs", epochs,
+                           "--quiet", "--resume", str(out / "last.ckpt"))
+
+        assert resume("1") == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'last.ckpt'}: the run has trained 2 epochs, "
+            f"more than the 1 asked for\n")
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        # a resume to the count already run trains nothing
+        assert resume("2") == 0
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_train_with_batch_size_one(self, tmp_path, synthetic_dir):
+        out = _quick_train(tmp_path, synthetic_dir, "--batch-size", "1")
+        assert len((out / "metrics.log").read_text().splitlines()) == 2
+
     @pytest.mark.parametrize("command", ["train-data", "train-val", "eval-data"])
     def test_manifest_without_entries_exits_2(self, tmp_path, synthetic_dir, capsys,
                                               command):
@@ -718,22 +742,58 @@ class TestExportAttention:
                       if p.name.startswith("val") and p.suffix == ".txt")
         return out, sample
 
-    def test_exports_one_file_pair_per_head(self, tmp_path, trained):
-        run_dir, sample = trained
+    @pytest.mark.parametrize("variant, branches", [("v2", ("person0", "person1")),
+                                                   ("v3", ("position", "motion"))],
+                             ids=["v2", "v3"])
+    def test_exports_every_map_of_the_sample(self, tmp_path, synthetic_dir, variant,
+                                             branches):
+        run_dir = _quick_train(tmp_path, synthetic_dir, "--variant", variant,
+                               "--san-layers", "2")
         export = tmp_path / "maps"
         code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", sample, "--out", str(export))
+                       "--sample", str(synthetic_dir / "val_00_0000.txt"),
+                       "--out", str(export))
         assert code == 0
-        csvs = sorted(p.name for p in export.iterdir() if p.suffix == ".csv")
-        pgms = sorted(p.name for p in export.iterdir() if p.suffix == ".pgm")
-        assert len(csvs) == 2 and len(pgms) == 2  # san_heads = 2, last layer
-        assert all(name.startswith("person0_layer0_head") for name in csvs)
+        assert sorted(p.name for p in export.iterdir()) == sorted(
+            f"segment{k}_{branch}_layer{layer}_head{head}.{ext}" for k in (0, 1)
+            for branch in branches for layer in (0, 1) for head in (0, 1)
+            for ext in ("csv", "pgm"))
+
+    def test_each_csv_holds_its_trace_slot(self, tmp_path, synthetic_dir, monkeypatch):
+        from tssan.segments import TsSan
+        run_dir = _quick_train(tmp_path, synthetic_dir, "--san-layers", "2")
+        outputs = []
+        forward = TsSan.forward_batch
+
+        def recording(self, *args, **kwargs):
+            outputs.append(forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(TsSan, "forward_batch", recording)
+        export = tmp_path / "maps"
+        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
+                       "--sample", str(synthetic_dir / "val_00_0000.txt"),
+                       "--out", str(export))
+        assert code == 0
+        (out,) = outputs
+        csvs = 0
+        for k, branches in enumerate(out.traces):
+            for branch, trace in branches.items():
+                for layer in (0, 1):
+                    for head in (0, 1):
+                        matrix = trace.stacked[layer, 0, head]
+                        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                           for row in matrix)
+                        path = export / f"segment{k}_{branch}_layer{layer}_head{head}.csv"
+                        assert path.read_text() == expected
+                        csvs += 1
+        assert csvs == 16  # 2 segments x 2 persons x 2 layers x 2 heads
 
     def test_exported_rows_roundtrip_to_stochastic(self, tmp_path, trained):
         run_dir, sample = trained
         export = tmp_path / "maps2"
         run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                "--sample", sample, "--out", str(export), "--all-layers")
+                "--sample", sample, "--out", str(export))
         for path in export.iterdir():
             if path.suffix != ".csv":
                 continue
@@ -756,56 +816,6 @@ class TestExportAttention:
         assert lines[2] == "255"
         values = [int(v) for line in lines[3:] for v in line.split()]
         assert max(values) == 255 and min(values) >= 0
-
-    def test_out_of_range_layer_exits_2(self, tmp_path, trained, capsys):
-        run_dir, sample = trained
-        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", sample, "--out", str(tmp_path / "m"),
-                       "--layer", "5")
-        assert code == 2
-        assert "out of range" in capsys.readouterr().err
-
-    def test_out_of_range_segment_exits_2(self, tmp_path, trained, capsys):
-        run_dir, sample = trained
-        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", sample, "--out", str(tmp_path / "m"), "--segment", "2")
-        assert code == 2
-        assert capsys.readouterr().err == "error: segment 2 out of range [0, 2)\n"
-
-    def test_unknown_branch_exits_2(self, tmp_path, trained, capsys):
-        run_dir, sample = trained
-        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", sample, "--out", str(tmp_path / "m"), "--branch", "fused")
-        assert code == 2
-        assert capsys.readouterr().err == ("error: unknown branch 'fused'; available: "
-                                           "['person0', 'person1']\n")
-
-    def test_one_layer_by_index(self, tmp_path, synthetic_dir):
-        run_dir = _quick_train(tmp_path, synthetic_dir, "--san-layers", "2")
-        export = tmp_path / "maps6"
-        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", str(synthetic_dir / "val_00_0000.txt"),
-                       "--out", str(export), "--layer", "0")
-        assert code == 0
-        assert sorted(p.name for p in export.iterdir()) == [
-            f"person0_layer0_head{h}.{ext}" for h in (0, 1) for ext in ("csv", "pgm")]
-
-    def test_out_of_range_head_exits_2(self, tmp_path, trained):
-        run_dir, sample = trained
-        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", sample, "--out", str(tmp_path / "m"),
-                       "--head", "9")
-        assert code == 2
-
-    def test_branch_selection(self, tmp_path, trained):
-        run_dir, sample = trained
-        export = tmp_path / "maps4"
-        code = run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
-                       "--sample", sample, "--out", str(export),
-                       "--branch", "person1", "--head", "1")
-        assert code == 0
-        names = sorted(p.name for p in export.iterdir())
-        assert names == ["person1_layer0_head1.csv", "person1_layer0_head1.pgm"]
 
     def test_export_records_no_autograd_graph(self, tmp_path, trained, monkeypatch):
         from tssan.segments import TsSan

@@ -93,6 +93,9 @@ class TestEpochMechanics:
         # a one-sample dataset is still trainable
         chunks = list(_batches(1, 4, np.arange(1)))
         assert [len(c) for c in chunks] == [1]
+        # at batch size 1 every batch is a single sample, and each is kept
+        chunks = list(_batches(3, 1, np.arange(3)))
+        assert [len(c) for c in chunks] == [1, 1, 1]
 
     def test_nan_loss_raises_numeric_divergence(self, tmp_path):
         samples = _tiny_dataset(tmp_path, per_label=2)
@@ -495,21 +498,43 @@ class TestCheckpointContainer:
         ("adam.m", _first_value(-np.inf), r"moments for .* must be finite, and adam.v >= 0$"),
         ("adam.v", _first_value(np.inf), r"moments for .* must be finite, and adam.v >= 0$"),
         ("adam.v", _first_value(-1.0), r"moments for .* must be finite, and adam.v >= 0$"),
+        ("adam.lr", -1e-3, r"unusable training state .*adam.lr must be finite and >= 0"),
+        ("adam.lr", float("inf"), r"unusable training state .*adam.lr must be finite"),
+        ("adam.lr", float("nan"), r"unusable training state .*adam.lr must be finite"),
+        ("adam.step_count", -3, r"unusable training state .*adam.step_count must be an int"),
+        ("adam.step_count", 2.0, r"unusable training state .*adam.step_count must be an int"),
+        ("scheduler.bad_epochs", -1, r"unusable training state .*bad_epochs must be an int"),
+        ("scheduler.bad_epochs", True, r"unusable training state .*bad_epochs must be an int"),
+        ("epoch", -3, r"unusable training state .*epoch must be an int >= 0"),
+        ("epoch", 1.7, r"unusable training state .*epoch must be an int >= 0"),
+        ("epoch", True, r"unusable training state .*epoch must be an int >= 0"),
+        ("best_top1", float("nan"), r"unusable training state .*best_top1 must lie in"),
+        ("best_top1", float("inf"), r"unusable training state .*best_top1 must lie in"),
+        ("best_top1", 1.5, r"unusable training state .*best_top1 must lie in"),
+        ("best_top1", -0.25, r"unusable training state .*best_top1 must lie in"),
     ], ids=["adam", "scheduler", "rng_state", "epoch", "best_top1", "missing-moment",
-            "moment-shape", "m-nan", "m-inf", "v-inf", "v-negative"])
+            "moment-shape", "m-nan", "m-inf", "v-inf", "v-negative",
+            "lr-negative", "lr-inf", "lr-nan", "step_count-negative", "step_count-float",
+            "bad_epochs-negative", "bad_epochs-bool", "epoch-negative", "epoch-float",
+            "epoch-bool", "best_top1-nan", "best_top1-inf", "best_top1-above-1",
+            "best_top1-negative"])
     def test_bad_resume_state_rejected(self, tmp_path, key, value, match):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=1)
         run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
         meta, arrays = load_checkpoint(run.last_path)
-        if key.startswith("adam."):
+        if key in ("adam.m", "adam.v"):
             name = next(k for k in arrays if k.startswith(key + "."))
             if value is None:
                 del arrays[name]
             else:
                 arrays[name] = value(arrays[name])
         else:
-            meta[key] = value
+            *path, last = key.split(".")
+            node = meta
+            for part in path:
+                node = node[part]
+            node[last] = value
         save_checkpoint(run.last_path, arrays, meta)
         _, _, longer = _tiny_configs(epochs=2)
         with pytest.raises(CheckpointError, match=match):

@@ -33,8 +33,9 @@
 # Datasets: a 40-frame set and a 5-frame set; at K=3 segments the 5-frame
 # clips have a 1-frame last segment.  For each set and each of
 # v1/v2/v3 x ff/cnn x avg/max: train 2 epochs, resume to epoch 4, eval
-# best.ckpt on the val split and export every layer's attention of one val
-# sample; plus one v3 run that predicts with v3_inference = mean and has
+# best.ckpt on the val split and export every attention map of one val
+# sample, one CSV + PGM pair per segment, branch, layer and head; plus one
+# v3 run that predicts with v3_inference = mean and has
 # plateau_patience = 1, so that its lr is cut once top-1 stalls.  Last,
 # the 5-frame train files are copied with comments, blank lines, CRLF line
 # ends and extra whitespace injected, indexed with prepare --input, and two
@@ -112,7 +113,7 @@ run() {
         > "$dir/eval.txt"
     local samples=("$set"/data/val*.txt)
     tssan export-attention --checkpoint "$dir/train/best.ckpt" --sample "${samples[0]}" \
-        --out "$dir/export" --all-layers > "$dir/export.txt"
+        --out "$dir/export" > "$dir/export.txt"
 }
 
 cat > base.ini <<'EOF'
