@@ -2,11 +2,12 @@
 
 Layout: an 8-byte magic, a little-endian u64 header length, a JSON header,
 the raw float64 little-endian tensor payload (the float64 master weights
-and Adam moments, whatever dtype the model computes in), and last a
-little-endian u32 ``zlib.crc32`` of every byte before it.  The header
-carries the format version, arbitrary JSON metadata (configs, optimizer
-scalars, rng state, counters), and the name/shape/offset index of every
-tensor; the arrays lie back to back in index order.
+that Adam holds and its moments, while the model computes on float32
+copies), and last a little-endian u32 ``zlib.crc32`` of every byte before
+it.  The header carries the format version, arbitrary JSON metadata
+(configs, optimizer scalars, rng state, counters), and the
+name/shape/offset index of every tensor; the arrays lie back to back in
+index order.
 
 Both directions stream.  A save writes the header, whose offsets follow
 from the shapes, then each array in turn, so it never holds a second copy

@@ -367,8 +367,7 @@ def write_matrix_csv(path: str, matrix: np.ndarray):
 
 
 def cmd_export_attention(args) -> int:
-    model = load_model_from_checkpoint(args.checkpoint)[0]
-    model.eval()
+    model = load_model_from_checkpoint(args.checkpoint)[0].eval().narrow()
     (sample,) = _prepare_split([args.sample], [load_sample(args.sample)],
                                model.variant.config, model.config.segments)
     with no_grad():

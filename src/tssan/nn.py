@@ -1,10 +1,10 @@
 """Minimal parameter-holding modules over the tensor core.
 
-Parameters are float64 master copies.  Each layer hands them to the
-tensor ops as they are; an op computes in the narrowest dtype among its
-operands, so float32 activations train float64 weights.  A master's
-``.grad`` stays in the float32 it was computed in, and ``optim.Adam``
-upcasts it block by block to update the float64 weights and moments.
+Parameters are built in float64.  ``optim.Adam`` keeps those arrays as
+its masters, and a model that trains or evaluates computes on float32
+copies (:meth:`Module.narrow`) that Adam rewrites after each step.  An op
+computes in the narrowest dtype among its operands, and a ``.grad`` stays
+in the float32 it was computed in.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ class Module:
 
     def eval(self):
         return self.train(False)
+
+    def narrow(self):
+        """Rebind each parameter's data to a float32 copy; a float32 one is kept."""
+        for _, p in self.named_parameters():
+            p.data = p.data.astype(np.float32, copy=False)
+        return self
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:

@@ -5,8 +5,10 @@ read on every step, so ``training.run_training`` cuts it in place when
 validation top-1 stalls; which attributes a run checkpoint stores is
 decided in ``training.save_training_checkpoint`` alone.
 
-Parameters are float64 master weights whose gradients arrive in the dtype
-they were computed in, float32 under float32 input.  A step runs over
+``master`` holds each parameter's float64 array, adopted without a copy.
+Once the model computes on float32 copies (``nn.Module.narrow``), a step
+also writes ``float32(master)`` into ``p.data``.  Gradients arrive in the
+dtype they were computed in, float32 under float32 input.  A step runs over
 contiguous blocks of ``_ADAM_BLOCK`` values per parameter, so each block's
 weights, moments, gradient and two reused float64 scratch blocks stay in
 cache, rather than streaming whole arrays through memory once per pass.
@@ -33,23 +35,26 @@ _ADAM_BLOCK = 32768
 
 class Adam:
     """Adam with bias correction; weight decay enters as an added grad term.
-    Moment arrays ``m`` and ``v`` are keyed by parameter name."""
+    Masters and moment arrays ``m`` and ``v`` are keyed by parameter name."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.master = {name: p.data.astype(np.float64, copy=False)
+                       for name, p in self.params.items()}
+        self.m = {name: np.zeros_like(w) for name, w in self.master.items()}
+        self.v = {name: np.zeros_like(w) for name, w in self.master.items()}
 
     def step(self):
         """One update of every parameter, per value::
 
-            g = grad + weight_decay * p
+            g = grad + weight_decay * master
             m = m * BETA1 + (1 - BETA1) * g
             v = v * BETA2 + (1 - BETA2) * (g * g)
-            p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+            master -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+            p = float32(master)    # only where p is not the master
 
         Every gradient is checked before anything is written: a missing one
         raises ValueError with no weight, moment or step count changed.
@@ -64,9 +69,10 @@ class Adam:
         g_block = np.empty(_ADAM_BLOCK)
         scratch = np.empty(_ADAM_BLOCK)
         for name, p in self.params.items():
-            # in-place views of the master and moments; a layout that would
-            # need a copy raises rather than updating the copy
-            w = p.data.reshape(-1, copy=False)
+            # in-place views of the master, its compute copy and the moments;
+            # a layout that would need a copy raises rather than updating it
+            w = self.master[name].reshape(-1, copy=False)
+            compute = None if p.data is self.master[name] else p.data.reshape(-1, copy=False)
             m = self.m[name].reshape(-1, copy=False)
             v = self.v[name].reshape(-1, copy=False)
             grad = p.grad.reshape(-1)
@@ -92,6 +98,8 @@ class Adam:
                 g *= self.lr
                 g /= tmp
                 wb -= g
+                if compute is not None:
+                    compute[block] = wb
 
     def zero_grad(self):
         for p in self.params.values():

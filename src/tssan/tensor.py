@@ -11,12 +11,12 @@ another tensor's gradient, and callers treat it as read-only.
 Dtype rule: a tensor keeps the dtype of floating input and stores
 anything else as float64.  The ops that take parameters (:func:`add`,
 :func:`matmul`, :func:`conv2d`, :func:`layer_norm`) compute in the
-narrowest floating dtype among their operands, so float64 master
-parameters meet float32 activations in float32.  A gradient is stored in
-the narrower of its own dtype and the tensor's: a master keeps the float32
-gradient it was computed in, and a float32 activation never holds a
-float64 one.  A second use sums in the wider dtype, so contributions to a
-master add in float64, as the exact widening of each float32 term.
+narrowest floating dtype among their operands.  A model that trains or
+evaluates holds float32 copies of its parameters, and ``optim.Adam`` the
+float64 masters; a float64 model computes the same bits, cast per op.  A
+gradient is stored in the narrower of its own dtype and the tensor's, so
+a float32 activation never holds a float64 one.  A second use sums in the
+wider dtype, stored in the tensor's (no model uses a parameter twice).
 
 Only the operations the models need are provided; shapes follow numpy
 broadcasting where noted and raise :class:`ShapeError` otherwise.

@@ -84,9 +84,9 @@ class PreparedSample:
 
 
 def prepare_samples(samples: list[LabeledSample]) -> list[PreparedSample]:
-    """Model input in float32, the dtype the network then computes in (its
-    float64 master weights are cast as they enter).  Motions are
-    differenced in float64 first, then cast."""
+    """Model input in float32, the dtype the network then computes in, on
+    float32 copies of its weights (the float64 masters live in ``Adam``).
+    Motions are differenced in float64 first, then cast."""
     return [PreparedSample(s.clip.positions.astype(np.float32),
                            frame_differences(s.clip.positions).astype(np.float32), s.label)
             for s in samples]
@@ -139,10 +139,11 @@ def topk_hits(probabilities: np.ndarray, labels: np.ndarray, k: int) -> int:
 
 def evaluate(model: TsSan, samples: list[PreparedSample],
              batch_size: int = 64) -> tuple[float, float]:
-    """Top-1 / top-5 accuracy of the fused predictions in eval mode."""
+    """Top-1 / top-5 accuracy of the fused predictions in eval mode, on the
+    model narrowed to float32 weights (:meth:`nn.Module.narrow`)."""
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
-    model.eval()
+    model.eval().narrow()
     hits1 = hits5 = 0
     with no_grad():
         for start in range(0, len(samples), batch_size):
@@ -188,7 +189,8 @@ def save_training_checkpoint(path: str, run: TrainingRun, rng: np.random.Generat
                              epoch: int, configs: dict):
     """The one writer of a run's checkpoint; this module alone knows its layout.
 
-    Arrays, per parameter in ``named_parameters`` order: ``param.<name>``,
+    Arrays, per parameter in ``named_parameters`` order: ``param.<name>``
+    (the optimizer's float64 master, not the model's float32 copy),
     ``adam.m.<name>`` and ``adam.v.<name>``.  Meta: ``configs`` (the model,
     tsn and train settings, stored nowhere else), ``epoch``, ``best_top1``,
     ``adam`` as ``{step_count, lr}``, ``scheduler`` as ``{bad_epochs}`` (the
@@ -198,8 +200,8 @@ def save_training_checkpoint(path: str, run: TrainingRun, rng: np.random.Generat
     """
     optimizer = run.optimizer
     arrays = {}
-    for name, p in run.model.named_parameters():
-        arrays[f"param.{name}"] = p.data
+    for name, master in optimizer.master.items():
+        arrays[f"param.{name}"] = master
         arrays[f"adam.m.{name}"] = optimizer.m[name]
         arrays[f"adam.v.{name}"] = optimizer.v[name]
     meta = {
@@ -293,6 +295,7 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                                   f"only epochs and batch_size may change")
     optimizer = Adam(dict(model.named_parameters()), lr=train_config.lr,
                      weight_decay=train_config.weight_decay)
+    model.narrow()
     rng = np.random.default_rng([train_config.seed, 1])
     best_path = os.path.join(out_dir, "best.ckpt")
     run = TrainingRun(model=model, optimizer=optimizer,

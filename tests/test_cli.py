@@ -833,3 +833,31 @@ class TestExportAttention:
         assert code == 0
         assert len(outputs) == 1
         assert not outputs[0].log_probs.requires_grad
+
+    @pytest.mark.parametrize("variant", ["v2", "v3"])
+    def test_export_on_float32_weights_writes_the_float64_twins_files(
+            self, tmp_path, synthetic_dir, variant, monkeypatch):
+        from tssan.nn import Module
+        from tssan.segments import TsSan
+        run_dir = _quick_train(tmp_path, synthetic_dir, "--variant", variant)
+        dtypes = []
+        forward = TsSan.forward_batch
+
+        def recording(self, *args, **kwargs):
+            dtypes.append({p.data.dtype for _, p in self.named_parameters()})
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TsSan, "forward_batch", recording)
+
+        def export(name):
+            out = tmp_path / name
+            assert run_cli("export-attention", "--checkpoint", str(run_dir / "best.ckpt"),
+                           "--sample", str(synthetic_dir / "val_00_0000.txt"),
+                           "--out", str(out)) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        narrowed = export("narrowed")
+        monkeypatch.setattr(Module, "narrow", lambda self: self)
+        twin = export("twin")
+        assert dtypes == [{np.dtype(np.float32)}, {np.dtype(np.float64)}]
+        assert len(narrowed) == 16 and narrowed == twin

@@ -73,8 +73,19 @@ class TestAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-5])
     @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
     def test_blocked_step_matches_the_whole_array_formula(self, weight_decay, grad_dtype):
+        self._check_blocked_step(weight_decay, grad_dtype, narrow=False)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-5])
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_blocked_step_writes_float32_masters_into_narrowed_parameters(
+            self, weight_decay, grad_dtype):
+        self._check_blocked_step(weight_decay, grad_dtype, narrow=True)
+
+    @staticmethod
+    def _check_blocked_step(weight_decay, grad_dtype, narrow):
         # the whole-array update on float64-upcast gradients is the reference;
-        # "big" spans two blocks and a ragged tail, "small" less than a block
+        # "big" spans two blocks and a ragged tail, "small" less than a block;
+        # a narrowed parameter holds the float32 of the master after each step
         rng = np.random.default_rng(5)
         shapes = {"big": (3, _ADAM_BLOCK * 2 // 3 + 41), "small": (7, 5), "scalar": ()}
         params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
@@ -83,6 +94,9 @@ class TestAdam:
         ref_v = {n: np.zeros_like(p) for n, p in ref.items()}
         lr = 1e-3
         opt = Adam(params, lr=lr, weight_decay=weight_decay)
+        if narrow:
+            for p in params.values():
+                p.data = p.data.astype(np.float32)
         for t in range(1, 5):
             bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
             for name, p in params.items():
@@ -96,10 +110,24 @@ class TestAdam:
                     np.sqrt(ref_v[name] / bc2) + EPS)
             opt.step()
             for name, p in params.items():
-                assert p.data.dtype == np.float64
-                for got, want in ((p.data, ref[name]), (opt.m[name], ref_m[name]),
+                for got, want in ((opt.master[name], ref[name]), (opt.m[name], ref_m[name]),
                                   (opt.v[name], ref_v[name])):
                     assert got.tobytes() == want.tobytes(), (name, t)
+                want = ref[name].astype(np.float32) if narrow else opt.master[name]
+                assert p.data.dtype == want.dtype and p.data.tobytes() == want.tobytes()
+                assert (p.data is opt.master[name]) is not narrow
+
+    def test_masters_adopt_float64_arrays_and_widen_others(self):
+        wide = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        narrow = Tensor(np.array([1.5, 3.0], np.float32), requires_grad=True)
+        opt = Adam({"wide": wide, "narrow": narrow}, lr=0.1)
+        assert opt.master["wide"] is wide.data
+        assert opt.master["narrow"].dtype == np.float64
+        np.testing.assert_array_equal(opt.master["narrow"], [1.5, 3.0])
+        wide.grad = narrow.grad = np.ones(2, np.float32)
+        opt.step()
+        assert narrow.data.dtype == np.float32
+        assert narrow.data.tobytes() == opt.master["narrow"].astype(np.float32).tobytes()
 
 
 def _lr_after_each_epoch(tmp_path, monkeypatch, top1s, lr=1e-4):
@@ -189,3 +217,22 @@ class TestModules:
         net.train()
         assert net.drop.training
         assert (net.drop(x, np.random.default_rng(0)).data == 0).any()
+
+    def test_narrow_rebinds_float64_parameters_to_float32_copies(self):
+        rng = np.random.default_rng(6)
+
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.lin = Linear(3, 2, rng)
+                self.stack = [LayerNorm(2)]
+
+        net = Net()
+        before = {name: p.data for name, p in net.named_parameters()}
+        assert net.narrow() is net
+        after = {name: p.data for name, p in net.named_parameters()}
+        for name, data in after.items():
+            assert data.dtype == np.float32 and before[name].dtype == np.float64
+            assert data.tobytes() == before[name].astype(np.float32).tobytes(), name
+        net.narrow()
+        assert all(p.data is after[name] for name, p in net.named_parameters())

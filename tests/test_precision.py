@@ -1,21 +1,29 @@
-"""Mixed precision: float32 activations and gradients over float64 masters.
+"""Mixed precision: float32 activations, weights and gradients, with the
+float64 masters in ``Adam``.
 
 The compute dtype follows the model input: ``prepare_samples`` hands the
 network float32 clips, and the ops that take parameters compute in the
-narrowest dtype among their operands, so the float64 parameters enter
-compute as float32 and each keeps the float32 gradient it was computed in
-as its ``.grad``; ``Adam`` upcasts it block by block to update the float64
-weights and moments.  Float64 input runs the float64 graph.
+narrowest dtype among their operands.  A model is built in float64;
+``evaluate`` and ``run_training`` narrow it to float32 copies
+(``Module.narrow``) once ``Adam`` has adopted the float64 arrays as its
+masters.  Each parameter keeps the float32 gradient it was computed in
+as its ``.grad``; ``Adam`` upcasts it block by block to update the
+float64 master and moments, then writes the master back as float32.  A
+model that is never narrowed casts its float64 weights as they enter and
+computes the same bits.  Float64 input runs the float64 graph.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from tssan import tensor as T
 from tssan.models import ModelConfig, build_variant
+from tssan.nn import Module
 from tssan.optim import Adam
 from tssan.segments import TsnConfig, TsSan, ts_loss
-from tssan.training import topk_hits
+from tssan.training import PreparedSample, evaluate, topk_hits
 
 
 def _model(variant, encoder, consensus="avg"):
@@ -124,3 +132,66 @@ def test_no_stored_gradient_is_written_again(variant, encoder, dtype, monkeypatc
     for expected, actual in zip(want, got):
         for name, a in expected.items():
             assert a.dtype == actual[name].dtype and a.tobytes() == actual[name].tobytes(), name
+
+
+def _prepared(seed=0, lengths=(8, 11, 9, 14, 10)):
+    labels = np.arange(len(lengths)) % 5
+    return [PreparedSample(positions, motions, int(label))
+            for (positions, motions), label in zip(_clips(np.float32, seed, lengths), labels)]
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("encoder", ["ff", "cnn"])
+def test_evaluate_narrows_and_predicts_as_the_float64_twin(variant, encoder, monkeypatch):
+    samples = _prepared(seed=4)
+
+    def run():
+        model = _model(variant, encoder)
+        probs = []
+
+        def forward_batch(pairs, rng=None):
+            out = TsSan.forward_batch(model, pairs, rng)
+            probs.append(out.probabilities)
+            return out
+
+        model.forward_batch = forward_batch
+        accuracy = evaluate(model, samples, batch_size=2)
+        digest = hashlib.sha256(np.concatenate(probs).tobytes()).hexdigest()
+        return model, accuracy, digest
+
+    narrowed, accuracy, digest = run()
+    assert all(p.data.dtype == np.float32 for _, p in narrowed.named_parameters())
+    monkeypatch.setattr(Module, "narrow", lambda self: self)
+    twin, twin_accuracy, twin_digest = run()
+    assert all(p.data.dtype == np.float64 for _, p in twin.named_parameters())
+    assert (accuracy, digest) == (twin_accuracy, twin_digest)
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("encoder", ["ff", "cnn"])
+def test_adam_on_a_narrowed_model_keeps_the_float64_twins_masters(variant, encoder):
+    runs = []
+    for narrow in (True, False):
+        model = _model(variant, encoder)
+        optimizer = Adam(dict(model.named_parameters()), lr=1e-2, weight_decay=1e-3)
+        if narrow:
+            model.narrow()
+        rng = np.random.default_rng(7)
+        losses = []
+        for step in range(3):
+            out = model.forward_batch(_clips(np.float32, seed=step), rng)
+            loss = ts_loss(out, [1, 3, 0])
+            optimizer.zero_grad()
+            T.backward(loss)
+            optimizer.step()
+            losses.append(loss.item())
+        runs.append((model, optimizer, losses))
+    (narrowed, adam, losses), (twin, twin_adam, twin_losses) = runs
+    assert losses == twin_losses
+    for name, p in narrowed.named_parameters():
+        master = adam.master[name]
+        assert master.dtype == np.float64
+        assert master.tobytes() == twin_adam.master[name].tobytes(), name
+        assert p.data.dtype == np.float32
+        assert p.data.tobytes() == master.astype(np.float32).tobytes(), name
+    assert all(p.data is twin_adam.master[name] for name, p in twin.named_parameters())

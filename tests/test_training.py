@@ -395,9 +395,12 @@ class TestCheckpointContainer:
         blob = path.read_bytes()
         for at in range(len(blob)):
             for bit in range(8):
-                path.write_bytes(blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:])
+                # a new file per flip: rewriting one just-written file waits
+                # on its writeback at every close
+                flipped = tmp_path / f"f{at}.{bit}.ckpt"
+                flipped.write_bytes(blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:])
                 with pytest.raises(CheckpointError):
-                    load_checkpoint(str(path))
+                    load_checkpoint(str(flipped))
 
     @staticmethod
     def _peak_bytes(fn, *args):
@@ -579,10 +582,14 @@ class TestRunTraining:
         resumed_all = [(r.epoch, r.loss, r.top1, r.top5, r.lr)
                        for r in resumed.history]
         assert straight_tail == resumed_all
-        a = {n: p.data for n, p in straight.model.named_parameters()}
-        b = {n: p.data for n, p in resumed.model.named_parameters()}
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
+        # both models compute on float32 copies of masters that agree to the bit
+        for run in (straight, resumed):
+            for name, p in run.model.named_parameters():
+                assert p.data.dtype == np.float32, name
+                assert p.data.tobytes() == run.optimizer.master[name].astype(
+                    np.float32).tobytes(), name
+        for name, master in straight.optimizer.master.items():
+            assert master.tobytes() == resumed.optimizer.master[name].tobytes(), name
         assert (tmp_path / "straight" / "last.ckpt").read_bytes() == \
             (tmp_path / "resumed" / "last.ckpt").read_bytes()
         # the epochs at whose end the lr was cut
@@ -645,6 +652,22 @@ class TestRunTraining:
         names = [n for n, _ in run.model.named_parameters()]
         assert list(arrays) == [f"{kind}.{n}" for n in names
                                 for kind in ("param", "adam.m", "adam.v")]
+
+    def test_checkpoints_store_the_float64_masters(self, tmp_path):
+        # the model computes on float32 copies; a checkpoint that stored them
+        # would widen them to float64 and lose the masters' low bits
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=2)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        _, arrays = load_checkpoint(run.last_path)
+        params = dict(run.model.named_parameters())
+        assert list(run.optimizer.master) == list(params)
+        for name, master in run.optimizer.master.items():
+            assert params[name].data.dtype == np.float32
+            assert master.dtype == np.float64
+            assert arrays[f"param.{name}"].tobytes() == master.tobytes(), name
+        assert any(not np.array_equal(master, master.astype(np.float32))
+                   for master in run.optimizer.master.values())
 
     def test_parent_layout_checkpoint_resumes_bit_identically(self, tmp_path):
         # older checkpoints also stored settings and state copies in adam
