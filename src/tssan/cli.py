@@ -1,10 +1,13 @@
-"""Command-line entry points: prepare, train, eval, export-attention.
+"""Command-line entry points: prepare, index, train, eval, export-attention.
 
-Configuration comes from an INI-style file ([model] / [tsn] / [train]
-sections of key = value pairs) with command-line flags taking precedence;
-the merged effective config is echoed into the output directory.  Exit
-codes: 0 success, 2 usage, configuration, input or file-system problem
-(any ``OSError``), 3 numeric divergence.
+``prepare --synthetic`` generates the separable synthetic benchmark, and
+``index`` reads a directory of sample files (NTU RGB+D or Kinetics
+skeletons in the sample format); each writes a manifest and a pack per
+split.  Configuration comes from an INI-style file ([model] / [tsn] /
+[train] sections of key = value pairs) with command-line flags taking
+precedence; the merged effective config is echoed into the output
+directory.  Exit codes: 0 success, 2 usage, configuration, input or
+file-system problem (any ``OSError``), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -97,36 +100,42 @@ def write_config_echo(path: str, model: ModelConfig, tsn: TsnConfig,
 
 
 # ---------------------------------------------------------------------------
-# prepare
-
-# the flags that only --synthetic reads (by dest), and the value each takes
-# when not given
-_SYNTHETIC_ONLY = {"seed": (int, 0, "sample seed; the val split takes seed + 1"),
-                   "labels": (int, 4, "label count"),
-                   "per_label": (int, 50, "train samples per label"),
-                   "val_per_label": (int, 0, "also emit a held-out split with this "
-                                             "many samples per label"),
-                   "frames": (int, 48, "frames per clip"),
-                   "joints": (int, 5, "joints per person"),
-                   "persons": (int, 2, "persons per frame"),
-                   "coords": (int, 3, "coordinates per joint"),
-                   "noise": (float, 0.05, "coordinate noise scale")}
-
+# prepare and index
 
 def _add_prepare(sub):
-    p = sub.add_parser("prepare", help="build a dataset manifest (synthetic or "
-                                       "from a directory of sample files)")
+    p = sub.add_parser("prepare", help="generate the separable synthetic benchmark: "
+                                       "sample files, manifests and packs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--synthetic", action="store_true",
+    p.add_argument("--synthetic", action="store_true", required=True,
                    help="generate the separable synthetic benchmark")
-    for dest, (kind, default, text) in _SYNTHETIC_ONLY.items():
-        p.add_argument("--" + dest.replace("_", "-"), type=kind,
-                       help=f"{text} (--synthetic only, default {default})")
-    p.add_argument("--input", help="directory of existing sample .txt files")
-    p.add_argument("--kind", choices=sorted(DATASET_KINDS),
-                   help="dataset kind for --input mode (default synthetic)")
-    p.add_argument("--num-labels", type=int, help="label count for --input mode")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sample seed; the val split takes seed + 1 (default 0)")
+    p.add_argument("--labels", type=int, default=4, help="label count (default 4)")
+    p.add_argument("--per-label", type=int, default=50,
+                   help="train samples per label (default 50)")
+    p.add_argument("--val-per-label", type=int, default=0,
+                   help="also emit a held-out split with this many samples per label "
+                        "(default 0)")
+    p.add_argument("--frames", type=int, default=48, help="frames per clip (default 48)")
+    p.add_argument("--joints", type=int, default=5, help="joints per person (default 5)")
+    p.add_argument("--persons", type=int, default=2, help="persons per frame (default 2)")
+    p.add_argument("--coords", type=int, default=3,
+                   help="coordinates per joint (default 3)")
+    p.add_argument("--noise", type=float, default=0.05,
+                   help="coordinate noise scale (default 0.05)")
     p.set_defaults(func=cmd_prepare)
+
+
+def _add_index(sub):
+    p = sub.add_parser("index", help="build a manifest and pack from a directory of "
+                                     "sample files")
+    p.add_argument("--input", required=True, help="directory of sample .txt files")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--kind", choices=sorted(DATASET_KINDS), default="synthetic",
+                   help="dataset kind (default synthetic)")
+    p.add_argument("--num-labels", type=int,
+                   help="label count (default: the largest label + 1)")
+    p.set_defaults(func=cmd_index)
 
 
 def _summarize(manifest, out):
@@ -139,42 +148,24 @@ def _summarize(manifest, out):
 
 
 def cmd_prepare(args) -> int:
-    if args.val_per_label is not None and args.val_per_label < 0:
+    if args.val_per_label < 0:
         raise CliError(f"--val-per-label must be at least 0, got {args.val_per_label}")
-    if args.synthetic:
-        if args.num_labels is not None:
-            raise CliError("--num-labels is for --input mode; --synthetic takes its "
-                           "label count from --labels")
-        if args.kind is not None:
-            raise CliError("--kind is for --input mode; --synthetic always writes "
-                           "kind synthetic")
-        if args.input is not None:
-            raise CliError("--synthetic generates its samples and --input reads them "
-                           "from a directory; pass one of the two")
-        for dest, (_, default, _) in _SYNTHETIC_ONLY.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-        splits = [("train", args.per_label, args.seed)]
-        if args.val_per_label > 0:
-            splits.append(("val", args.val_per_label, args.seed + 1))
-        for split, per_label, seed in splits:
-            try:
-                manifest = make_synthetic_dataset(
-                    args.out, num_labels=args.labels, samples_per_label=per_label,
-                    frames=args.frames, joints=args.joints, persons=args.persons,
-                    coords=args.coords, noise=args.noise, seed=seed, split=split)
-            except ValueError as exc:
-                raise CliError(f"prepare --synthetic: {exc}") from exc
-            _summarize(manifest, os.path.join(args.out, f"{split}.manifest"))
-        return 0
-    if not args.input:
-        raise CliError("prepare needs either --synthetic or --input DIR")
-    given = ["--" + dest.replace("_", "-") for dest in _SYNTHETIC_ONLY
-             if getattr(args, dest) is not None]
-    if given:
-        raise CliError(f"{', '.join(given)}: only --synthetic reads "
-                       f"{'this flag' if len(given) == 1 else 'these flags'}; "
-                       f"--input indexes the sample files as they are")
+    splits = [("train", args.per_label, args.seed)]
+    if args.val_per_label > 0:
+        splits.append(("val", args.val_per_label, args.seed + 1))
+    for split, per_label, seed in splits:
+        try:
+            manifest = make_synthetic_dataset(
+                args.out, num_labels=args.labels, samples_per_label=per_label,
+                frames=args.frames, joints=args.joints, persons=args.persons,
+                coords=args.coords, noise=args.noise, seed=seed, split=split)
+        except ValueError as exc:
+            raise CliError(f"prepare --synthetic: {exc}") from exc
+        _summarize(manifest, os.path.join(args.out, f"{split}.manifest"))
+    return 0
+
+
+def cmd_index(args) -> int:
     if not os.path.isdir(args.input):
         raise CliError(f"input directory not found: {args.input}")
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".txt"))
@@ -187,7 +178,7 @@ def cmd_prepare(args) -> int:
     entries = [(os.path.relpath(path, args.out), sample.label)
                for path, sample in zip(paths, samples)]
     num_labels = args.num_labels or max(s.label for s in samples) + 1
-    manifest = DatasetManifest(kind=args.kind or "synthetic", num_labels=num_labels,
+    manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
                                split="train", entries=entries, base_dir=args.out)
     # the samples are checked as already loaded, before anything is written
     for (rel, label), sample in zip(entries, samples):
@@ -397,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "skeleton-based action recognition")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_prepare(sub)
+    _add_index(sub)
     _add_train(sub)
     _add_eval(sub)
     _add_export(sub)

@@ -8,15 +8,15 @@ slots stay at zero; ``segments.sample_segments`` applies them per segment.
 
 Text sample files are the interchange format.  They are parsed in one
 walk over their rows, in file order, which names the first bad line
-(:func:`_parse_sample`).  Next to each
-``<split>.manifest``, ``prepare`` also writes a ``<split>.pack``: a
-checkpoint container (``checkpoint.py``) that maps the SHA-256 of each
-sample file's bytes to the float64 positions and the header label that
-parsing those bytes gives.  :func:`load_samples` reads and hashes each
-listed file and takes its clip from the pack when the digest is there;
-it parses the text of a file whose digest is missing, and of every file
-when the pack is absent or unreadable.  A parsed clip is a pure function
-of the file's bytes, so a pack can only be missing entries, never stale.
+(:func:`_parse_sample`).  Next to each ``<split>.manifest``, ``prepare``
+and ``index`` also write a ``<split>.pack``: a checkpoint container
+(``checkpoint.py``) that maps the SHA-256 of each sample file's bytes to
+the float64 positions and the header label that parsing those bytes
+gives.  :func:`load_samples` reads and hashes each listed file and takes
+its clip from the pack when the digest is there; it parses the text of a
+file whose digest is missing, and of every file when the pack is absent
+or unreadable.  A parsed clip is a pure function of the file's bytes,
+so a pack can only be missing entries, never stale.
 """
 
 from __future__ import annotations
@@ -183,9 +183,10 @@ def save_sample(path: str, clip: SkeletonClip, label: int) -> str:
     C values; a non-numeric or non-finite value; rows beyond F*S*J; and
     fewer rows than F*S*J (``truncated``, naming the file only).
 
-    ``prepare`` stores each clip it writes or reads in its split's pack
-    too, under this digest, so that :func:`load_samples` skips the parse
-    while the file's bytes stay the same; an edited file is parsed again.
+    ``prepare`` stores each clip it writes, and ``index`` each clip it
+    reads, in its split's pack too, under this digest, so that
+    :func:`load_samples` skips the parse while the file's bytes stay the
+    same; an edited file is parsed again.
     """
     frames, persons, joints, coords = clip.positions.shape
     values = clip.positions.ravel().tolist()
@@ -356,7 +357,7 @@ def validate_sample(manifest: DatasetManifest, rel: str, label: int,
 
 
 def pack_path(manifest: DatasetManifest) -> str:
-    """Where ``prepare`` writes the pack of a manifest's split."""
+    """Where ``prepare`` and ``index`` write the pack of a manifest's split."""
     return os.path.join(manifest.base_dir, f"{manifest.split}.pack")
 
 

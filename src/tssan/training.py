@@ -225,9 +225,11 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
                                                     dict[str, np.ndarray]]:
     """The one reader of :func:`save_training_checkpoint`'s files: the model
     with its stored weights, the stored train settings, the meta and every
-    stored array.  Meta keys it does not read (older files also stored
-    settings and copies of state there) are ignored.  Stored parameters
-    must match the model's names and shapes and be finite everywhere."""
+    stored array.  Each parameter adopts its stored array without a copy,
+    so a resumed Adam's master is that array.  Meta keys it does not read
+    (older files also stored settings and copies of state there) are
+    ignored.  Stored parameters must match the model's names and shapes and
+    be finite everywhere."""
     meta, arrays = load_checkpoint(path)
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
@@ -255,8 +257,7 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
                                   f"{stored[name].shape} vs {p.data.shape}")
         if not np.isfinite(stored[name]).all():
             raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
-    for name, p in params.items():
-        p.data[...] = stored[name]
+        p.data = stored[name]
     return model, train_config, meta, arrays
 
 

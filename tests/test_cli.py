@@ -24,10 +24,28 @@ def synthetic_dir(tmp_path):
     return out
 
 
+def refused(capsys, *argv):
+    """The stderr of a command line that argparse refuses with exit code 2."""
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err
+
+
+def _narrow_config(folder):
+    """A config file that shrinks the ff encoder to 4 lifted coordinates
+    instead of the default 64, so that a test's checkpoints stay small."""
+    folder.mkdir(parents=True, exist_ok=True)
+    config = folder / "narrow.ini"
+    config.write_text("[model]\nff_coord_width = 4\n")
+    return config
+
+
 def _quick_train(tmp_path, synthetic_dir, *extra):
     out = tmp_path / "run"
     code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
                    "--val", str(synthetic_dir / "val.manifest"),
+                   "--config", str(_narrow_config(tmp_path)),
                    "--out", str(out), "--variant", "v2", "--encoder", "ff",
                    "--segments", "2", "--consensus", "avg",
                    "--frames-per-segment", "4", "--san-layers", "1",
@@ -78,23 +96,24 @@ class TestPrepare:
 
         assert packed(synthetic_dir, "train") == 12 and packed(synthetic_dir, "val") == 6
         out = tmp_path / "indexed"
-        assert run_cli("prepare", "--out", str(out), "--input", str(synthetic_dir)) == 0
+        assert run_cli("index", "--out", str(out), "--input", str(synthetic_dir)) == 0
         assert packed(out, "train") == 18
 
     def test_neither_mode_exits_2(self, tmp_path, capsys):
-        assert run_cli("prepare", "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == "error: prepare needs either --synthetic or --input DIR\n"
+        err = refused(capsys, "prepare", "--out", str(tmp_path / "x"))
+        assert "the following arguments are required: --synthetic" in err
+        assert not (tmp_path / "x").exists()
 
     def test_input_without_samples_exits_2(self, tmp_path, capsys):
         (tmp_path / "in").mkdir()
         (tmp_path / "in" / "notes.md").write_text("no samples here\n")
-        code = run_cli("prepare", "--out", str(tmp_path / "x"), "--input", str(tmp_path / "in"))
+        code = run_cli("index", "--out", str(tmp_path / "x"), "--input", str(tmp_path / "in"))
         assert code == 2
         assert capsys.readouterr().err == f"error: no .txt sample files under {tmp_path / 'in'}\n"
         assert not (tmp_path / "x").exists()
 
     def test_missing_input_dir_exits_2(self, tmp_path, capsys):
-        code = run_cli("prepare", "--out", str(tmp_path / "x"),
+        code = run_cli("index", "--out", str(tmp_path / "x"),
                        "--input", str(tmp_path / "nope"))
         assert code == 2
         assert "not found" in capsys.readouterr().err
@@ -102,11 +121,12 @@ class TestPrepare:
 
     def test_input_directory_mode(self, tmp_path, synthetic_dir):
         out = tmp_path / "indexed"
-        code = run_cli("prepare", "--out", str(out), "--input",
+        code = run_cli("index", "--out", str(out), "--input",
                        str(synthetic_dir), "--kind", "synthetic")
         assert code == 0
         manifest = load_manifest(str(out / "train.manifest"))
         assert len(manifest) == 18  # train + val sample files reindexed
+        assert manifest.kind == "synthetic" and manifest.num_labels == 3
 
     def test_input_mode_reads_each_sample_once(self, tmp_path, synthetic_dir, monkeypatch):
         opened = []
@@ -117,7 +137,7 @@ class TestPrepare:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        code = run_cli("prepare", "--out", str(tmp_path / "indexed"), "--input",
+        code = run_cli("index", "--out", str(tmp_path / "indexed"), "--input",
                        str(synthetic_dir), "--kind", "synthetic")
         monkeypatch.undo()
         assert code == 0
@@ -132,7 +152,7 @@ class TestPrepare:
         folder = _clip_dir(tmp_path, {"a.txt": (3, 2)})
         clip = SkeletonClip(np.ones((3, 2, 2, 2)), np.ones(2, bool))
         save_sample(str(folder / "b.txt"), clip, 1)
-        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder),
+        code = run_cli("index", "--out", str(tmp_path / "o"), "--input", str(folder),
                        *extra)
         assert code == 2
         assert capsys.readouterr().err == f"error: ../clips/{message}\n"
@@ -141,7 +161,7 @@ class TestPrepare:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_num_labels_below_one_exits_2(self, tmp_path, capsys, value):
         folder = _clip_dir(tmp_path, {"a.txt": (3, 2)})
-        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder),
+        code = run_cli("index", "--out", str(tmp_path / "o"), "--input", str(folder),
                        "--num-labels", value)
         assert code == 2
         assert capsys.readouterr().err == f"error: --num-labels must be at least 1, got {value}\n"
@@ -151,7 +171,7 @@ class TestPrepare:
         folder = _clip_dir(tmp_path, {"a.txt": (3, 2), "b.txt": (3, 2)})
         with open(folder / "b.txt", "ab") as fh:
             fh.write(b"\xff")
-        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
+        code = run_cli("index", "--out", str(tmp_path / "o"), "--input", str(folder))
         assert code == 2
         assert capsys.readouterr().err == (f"error: {folder / 'b.txt'}: not a UTF-8 text "
                                            f"file (invalid start byte)\n")
@@ -168,34 +188,30 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("error: prepare --synthetic: ") and message in err
 
-    def test_synthetic_refuses_num_labels(self, tmp_path, capsys):
+    def test_negative_val_per_label_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
-        code = run_cli("prepare", "--out", str(out), "--synthetic", "--labels", "3",
-                       "--num-labels", "7")
-        assert code == 2
-        assert capsys.readouterr().err == ("error: --num-labels is for --input mode; "
-                                           "--synthetic takes its label count from --labels\n")
+        assert run_cli("prepare", "--out", str(out), "--synthetic", "--val-per-label", "-1") == 2
+        assert capsys.readouterr().err == "error: --val-per-label must be at least 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (("--synthetic", "--input", "{clips}"),
-         "--synthetic generates its samples and --input reads them from a directory; "
-         "pass one of the two"),
-        (("--synthetic", "--val-per-label", "-1"), "--val-per-label must be at least 0, got -1"),
-        (("--input", "{clips}", "--val-per-label", "-2"),
-         "--val-per-label must be at least 0, got -2"),
-        (("--synthetic", "--labels", "2", "--per-label", "2", "--frames", "4",
-          "--joints", "2", "--kind", "ntu"),
-         "--kind is for --input mode; --synthetic always writes kind synthetic"),
-    ], ids=["synthetic-and-input", "synthetic-val-per-label-negative",
-            "input-val-per-label-negative", "synthetic-kind"])
-    def test_contradictory_mode_flags_exit_2(self, tmp_path, capsys, flags, message):
+    def test_synthetic_refuses_num_labels(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        err = refused(capsys, "prepare", "--out", str(out), "--synthetic", "--labels", "3",
+                      "--num-labels", "7")
+        assert err.endswith("error: unrecognized arguments: --num-labels 7\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, rejected", [
+        (("prepare", "--synthetic", "--input", "{clips}"), "--input {clips}"),
+        (("index", "--input", "{clips}", "--val-per-label", "-2"), "--val-per-label -2"),
+        (("prepare", "--synthetic", "--labels", "2", "--per-label", "2", "--frames", "4",
+          "--joints", "2", "--kind", "ntu"), "--kind ntu"),
+    ], ids=["synthetic-and-input", "input-val-per-label-negative", "synthetic-kind"])
+    def test_contradictory_mode_flags_exit_2(self, tmp_path, capsys, argv, rejected):
         clips = _clip_dir(tmp_path, {"a.txt": (3, 2)})
         out = tmp_path / "o"
-        code = run_cli("prepare", "--out", str(out),
-                       *(flag.format(clips=clips) for flag in flags))
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = refused(capsys, *(arg.format(clips=clips) for arg in argv), "--out", str(out))
+        assert err.endswith(f"error: unrecognized arguments: {rejected.format(clips=clips)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -206,17 +222,13 @@ class TestPrepare:
     def test_synthetic_only_flag_in_input_mode_exits_2(self, tmp_path, capsys, flags):
         clips = _clip_dir(tmp_path, {"a.txt": (3, 2)})
         out = tmp_path / "o"
-        code = run_cli("prepare", "--out", str(out), "--input", str(clips), *flags)
-        assert code == 2
-        named = ", ".join(flags[::2])
-        what = "this flag" if len(flags) == 2 else "these flags"
-        assert capsys.readouterr().err == (f"error: {named}: only --synthetic reads {what}; "
-                                           f"--input indexes the sample files as they are\n")
+        err = refused(capsys, "index", "--out", str(out), "--input", str(clips), *flags)
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert not out.exists()
 
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):
         folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "short.txt": (1, 2)})
-        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
+        code = run_cli("index", "--out", str(tmp_path / "o"), "--input", str(folder))
         assert code == 2
         assert "short.txt:1: a clip needs at least 2 frames" in capsys.readouterr().err
 
@@ -225,7 +237,7 @@ class TestPrepare:
         lines = (folder / "bad.txt").read_text().splitlines()
         lines[4] = "nan 0.5"
         (folder / "bad.txt").write_text("\n".join(lines) + "\n")
-        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--input", str(folder))
+        code = run_cli("index", "--out", str(tmp_path / "o"), "--input", str(folder))
         assert code == 2
         assert "bad.txt:5: non-finite value" in capsys.readouterr().err
 
@@ -242,7 +254,7 @@ class TestTrainEval:
     def test_config_file_plus_override(self, tmp_path, synthetic_dir, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[model]\nvariant = v1\nencoder = ff\nsan_layers = 1\n"
-                       "san_heads = 2\n[tsn]\nsegments = 2\n"
+                       "san_heads = 2\nff_coord_width = 4\n[tsn]\nsegments = 2\n"
                        "frames_per_segment = 4\n[train]\nepochs = 1\n"
                        "batch_size = 4\nlr = 0.001\nseed = 5\n")
         out = tmp_path / "cfgrun"
@@ -352,7 +364,7 @@ class TestTrainEval:
     def test_bad_clip_exits_2_before_training(self, tmp_path, capsys, shape, message):
         folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "bad.txt": shape})
         data = tmp_path / "data"
-        assert run_cli("prepare", "--out", str(data), "--input", str(folder)) == 0
+        assert run_cli("index", "--out", str(data), "--input", str(folder)) == 0
         out = tmp_path / "run"
         code = run_cli("train", "--data", str(data / "train.manifest"), "--out", str(out),
                        "--variant", "v2", "--encoder", "ff", "--segments", "3",
@@ -383,7 +395,7 @@ class TestTrainEval:
         folder = _clip_dir(tmp_path, {"clip.txt": shape})
         if command == "eval":
             data = tmp_path / "data1"
-            assert run_cli("prepare", "--out", str(data), "--input", str(folder),
+            assert run_cli("index", "--out", str(data), "--input", str(folder),
                            "--num-labels", "3") == 0
             target = ["--data", str(data / "train.manifest")]
         else:
@@ -397,6 +409,7 @@ class TestTrainEval:
             out = tmp_path / name
             code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
                            "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
+                           "--config", str(_narrow_config(tmp_path)),
                            "--variant", "v3", "--encoder", "ff", "--segments", "2",
                            "--frames-per-segment", "4", "--san-layers", "1",
                            "--san-heads", "2", "--epochs", "2", "--batch-size", "4",
@@ -434,6 +447,7 @@ class TestTrainEval:
         out = _quick_train(tmp_path, synthetic_dir)
         code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
                        "--val", str(synthetic_dir / "val.manifest"),
+                       "--config", str(tmp_path / "narrow.ini"),
                        "--out", str(out), "--variant", "v2", "--encoder", "ff",
                        "--segments", "2", "--consensus", "avg",
                        "--frames-per-segment", "4", "--san-layers", "1",
@@ -512,7 +526,7 @@ class TestTrainEval:
         out = _quick_train(tmp_path, synthetic_dir)
         before = {name: (out / name).read_bytes() for name in os.listdir(out)}
         config = tmp_path / "run.ini"
-        config.write_text(f"{ini}\n")
+        config.write_text(f"[model]\nff_coord_width = 4\n{ini}\n")
         for target in (tmp_path / "new", out):
             code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
                            "--val", str(synthetic_dir / "val.manifest"),
@@ -626,6 +640,7 @@ class TestTrainEval:
     def test_train_without_quiet_prints_each_epoch(self, tmp_path, synthetic_dir, capsys):
         out = tmp_path / "loud"
         code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--config", str(_narrow_config(tmp_path)),
                        "--out", str(out), "--variant", "v2", "--encoder", "ff",
                        "--segments", "2", "--frames-per-segment", "4", "--san-layers", "1",
                        "--san-heads", "2", "--epochs", "2", "--batch-size", "4")
@@ -725,7 +740,7 @@ class TestTrainEval:
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", [[], ["prepare"], ["train"], ["eval"],
-                                     ["export-attention"]])
+                                     ["export-attention"], ["index"]])
     def test_help_exits_zero(self, cmd, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(*cmd, "--help")

@@ -469,7 +469,7 @@ class TestSamplePack:
         (folder / "c.txt").write_bytes(("# noisy copy\r\n"
                                         + text.replace("\n", "  # note\r\n")).encode())
         (folder / "d.txt").write_bytes((folder / "a.txt").read_bytes())
-        assert main(["prepare", "--out", str(tmp_path / "out"), "--input", str(folder)]) == 0
+        assert main(["index", "--out", str(tmp_path / "out"), "--input", str(folder)]) == 0
         assert (tmp_path / "out" / "train.pack").is_file()
         manifest = load_manifest(str(tmp_path / "out" / "train.manifest"))
         want = _text_parse(manifest)

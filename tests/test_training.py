@@ -669,6 +669,23 @@ class TestRunTraining:
         assert any(not np.array_equal(master, master.astype(np.float32))
                    for master in run.optimizer.master.values())
 
+    def test_resumed_masters_are_the_loaded_arrays(self, tmp_path, monkeypatch):
+        # a resume holds one float64 copy of each parameter, not a drawn one
+        # overwritten by the stored values beside the stored array
+        from tssan import training
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        part = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "part"))
+        loaded = []
+        monkeypatch.setattr(training, "load_checkpoint",
+                            lambda path: loaded.append(load_checkpoint(path)) or loaded[-1])
+        resumed = run_training(model_cfg, tsn, dataclasses.replace(train, epochs=2), samples,
+                               out_dir=str(tmp_path / "resumed"), resume_from=part.last_path)
+        ((_, arrays),) = loaded
+        assert list(resumed.optimizer.master) == [n for n, _ in part.model.named_parameters()]
+        for name, master in resumed.optimizer.master.items():
+            assert master is arrays[f"param.{name}"], name
+
     def test_parent_layout_checkpoint_resumes_bit_identically(self, tmp_path):
         # older checkpoints also stored settings and state copies in adam
         # and scheduler; the reader ignores them

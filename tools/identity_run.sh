@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour-identity run: drive the tssan CLI of one source tree through
-# prepare, train, resume, eval and export-attention on small synthetic data,
-# and leave every output under one directory.
+# prepare, index, train, resume, eval and export-attention on small
+# synthetic data, and leave every output under one directory.
 #
 #   tools/identity_run.sh <repo> <out>
 #
@@ -17,7 +17,7 @@
 # run was given, not what the run computed.
 #
 # Next to each checkpoint and each sample pack (the <split>.pack that
-# prepare writes) the script writes <file>.json, read with the tree's own
+# prepare and index write) the script writes <file>.json, read with the tree's own
 # tssan.checkpoint.load_checkpoint: the meta as sorted JSON and one
 # "<shape> <SHA-256>" line per array.  When a change alters only the
 # container's header or meta, or adds packs, compare without the binary
@@ -38,9 +38,10 @@
 # v3 run that predicts with v3_inference = mean and has
 # plateau_patience = 1, so that its lr is cut once top-1 stalls.  Last,
 # the 5-frame train files are copied with comments, blank lines, CRLF line
-# ends and extra whitespace injected, indexed with prepare --input, and two
-# 5-frame checkpoints are evaluated on them; each eval must print what it
-# prints on the clean files.
+# ends and extra whitespace injected, indexed with `tssan index` (its
+# output is kept as noisy/prepare.txt), and two 5-frame checkpoints are
+# evaluated on them; each eval must print what it prints on the clean
+# files.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -171,7 +172,7 @@ for name in sorted(os.listdir(src)):
     with open(os.path.join(dst, name), "w", encoding="utf-8", newline="\r\n") as fh:
         fh.write("\n".join(out) + "\n")
 PY
-tssan prepare --input noisy/input --out noisy/data --kind synthetic > noisy/prepare.txt
+tssan index --input noisy/input --out noisy/data --kind synthetic > noisy/prepare.txt
 describe_packs noisy/data
 for name in v3-ff-avg v2-cnn-max; do
     tssan eval --checkpoint "frames5/$name/train/best.ckpt" \
