@@ -392,12 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train(sub)
     _add_eval(sub)
     _add_export(sub)
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # refused by the chosen command, whose usage lists the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (CliError, SampleFormatError, ValidationError, CheckpointError,

@@ -67,7 +67,8 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Linear(Module):
-    """Affine map over the last axis: y = x @ w + b."""
+    """Affine map over the last axis: y = x @ w + b, recorded as one
+    ``matmul`` node that adds the bias into the product in place."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
@@ -75,7 +76,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.matmul(x, self.w, self.b)
 
 
 class Conv2d(Module):

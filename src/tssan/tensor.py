@@ -1,22 +1,29 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Every operation records its inputs and a backward rule on the produced
-tensor, so the computation graph doubles as the gradient tape.  Calling
-:func:`backward` on a scalar walks that graph once in reverse topological
-order, accumulating into ``.grad`` exactly once per use of each input.
+tensor, so the computation graph doubles as the gradient tape.  A rule
+saves only the arrays it reads (``relu`` reads its output, not a mask).
+Calling :func:`backward` on a scalar walks that graph once in reverse
+topological order, accumulating into ``.grad`` exactly once per use of
+each input.  The walk consumes the graph: after an interior node's rule
+has fired, the node drops its grad, its parents and the rule, so the
+arrays the rule saved are freed during the walk, and a second
+:func:`backward` through the node raises ``RuntimeError``.
 A stored gradient is never written again: a later use replaces ``.grad``
 with a new sum.  So ``.grad`` may be a view of, or the same array as,
 another tensor's gradient, and callers treat it as read-only.
 
 Dtype rule: a tensor keeps the dtype of floating input and stores
 anything else as float64.  The ops that take parameters (:func:`add`,
-:func:`matmul`, :func:`conv2d`, :func:`layer_norm`) compute in the
-narrowest floating dtype among their operands.  A model that trains or
-evaluates holds float32 copies of its parameters, and ``optim.Adam`` the
-float64 masters; a float64 model computes the same bits, cast per op.  A
-gradient is stored in the narrower of its own dtype and the tensor's, so
-a float32 activation never holds a float64 one.  A second use sums in the
-wider dtype, stored in the tensor's (no model uses a parameter twice).
+:func:`matmul` with its optional bias, :func:`conv2d`, :func:`layer_norm`)
+compute in the narrowest floating dtype among their operands; a matmul
+bias narrower than both factors narrows the product after the GEMM, as a
+separate :func:`add` would.  A model that trains or evaluates holds
+float32 copies of its parameters, and ``optim.Adam`` the float64 masters;
+a float64 model computes the same bits, cast per op.  A gradient is
+stored in the narrower of its own dtype and the tensor's, so a float32
+activation never holds a float64 one.  A second use sums in the wider
+dtype, stored in the tensor's (no model uses a parameter twice).
 
 Only the operations the models need are provided; shapes follow numpy
 broadcasting where noted and raise :class:`ShapeError` otherwise.
@@ -136,10 +143,18 @@ def _narrowest(*tensors) -> list[np.ndarray]:
     return [t.data.astype(dtype, copy=False) for t in tensors]
 
 
+def _spent(g):
+    raise RuntimeError("this graph was consumed by an earlier backward, which freed "
+                       "its saved arrays; run the forward again")
+
+
 def backward(loss: Tensor):
     """Populate ``.grad`` on every requires_grad tensor reachable from loss.
 
     Multiple uses of a tensor accumulate by sum.  The loss must be scalar.
+    The graph is consumed: once an interior node's rule has fired, the node
+    drops its grad, its parents and the rule with the arrays it saved, and
+    a later backward through it raises ``RuntimeError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -164,10 +179,11 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
-        if node._parents:
-            # interior nodes: fully consumed once their rule has fired;
-            # dropping their grads bounds peak memory on deep graphs
+            # an interior node is fully consumed once its rule has fired;
+            # freeing it as the walk goes bounds peak memory on deep graphs
             node.grad = None
+            node._parents = ()
+            node._backward = _spent
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +255,14 @@ def log(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
+    out_data = x.data * (x.data > 0)
 
     def bwd(g):
-        _accumulate(x, g * mask)
+        # out > 0 exactly where x > 0 (also for -0.0, NaN and -inf, whose
+        # outputs -0.0, NaN and NaN are not positive), so no mask is kept
+        _accumulate(x, g * (out_data > 0))
 
-    return _node(x.data * mask, (x,), bwd)
+    return _node(out_data, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +394,14 @@ def logsumexp(x: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus ``bias`` broadcast over the product when one is given.
+
+    With a bias it is one node with the bits of ``add(matmul(a, b), bias)``:
+    the product is computed in the narrower dtype of ``a`` and ``b``, held
+    in the narrowest of all three, and the bias, cast to that dtype, is
+    added into it in place.  So no pre-bias product outlives the forward.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs 2-D+ operands, got {a.data.shape} and {b.data.shape}")
@@ -392,24 +417,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a2 = ad.reshape(-1, ad.shape[-1])
         out_data = (a2 @ bd).reshape(lead + (bd.shape[-1],))
 
-        def bwd_flat(g):
+        def product_bwd(g):
             g2 = g.reshape(-1, bd.shape[-1])
             if a.requires_grad:
                 _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
             if b.requires_grad:
                 _accumulate(b, a2.T @ g2)
+    else:
+        out_data = ad @ bd
 
-        return _node(out_data, (a, b), bwd_flat)
+        def product_bwd(g):
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-    out_data = ad @ bd
+    if bias is None:
+        return _node(out_data, (a, b), product_bwd)
+
+    bias = as_tensor(bias)
+    dtype = min(out_data.dtype, bias.data.dtype, key=lambda d: d.itemsize)
+    out_data = out_data.astype(dtype, copy=False)
+    out_data += bias.data.astype(dtype, copy=False)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+        product_bwd(g)
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
-    return _node(out_data, (a, b), bwd)
+    return _node(out_data, (a, b, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

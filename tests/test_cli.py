@@ -226,6 +226,17 @@ class TestPrepare:
         assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("index", "--input", "clips", "--seed", "3"),
+        ("prepare", "--synthetic", "--kind", "ntu"),
+    ], ids=["index-seed", "prepare-kind"])
+    def test_refusal_prints_the_command_usage(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        err = refused(capsys, *argv, "--out", str(out))
+        assert err.startswith(f"usage: tssan {argv[0]} [-h] ")
+        assert f"\ntssan {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+        assert not out.exists()
+
     def test_one_frame_clip_exits_2(self, tmp_path, capsys):
         folder = _clip_dir(tmp_path, {"a.txt": (6, 2), "short.txt": (1, 2)})
         code = run_cli("index", "--out", str(tmp_path / "o"), "--input", str(folder))

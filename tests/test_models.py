@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -221,6 +222,43 @@ class TestTrainingBehaviour:
         for name, p in model.named_parameters():
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad)), name
+
+    @pytest.mark.parametrize("encoder", ["ff", "cnn"])
+    def test_backward_frees_the_graph_it_walks(self, encoder):
+        # after backward no interior node holds parents, a rule or a grad, and
+        # every array a rule saved (padded inputs, dropout masks, normalized
+        # rows) is freed, while the forward output and the loss are still held
+        rng = np.random.default_rng(12)
+        config = _config("v3", encoder)
+        model = TsSan(build_variant(config, rng), TsnConfig(segments=2, frames_per_segment=4))
+        model.train()
+        out = model.forward_batch(_clips(rng, config, batch=3), rng=np.random.default_rng(13))
+        loss = ts_loss(out, [1, 3, 0])
+        interior, held, stack = {}, {}, [loss, out.log_probs]
+        while stack:
+            node = stack.pop()
+            if id(node) not in held:
+                held[id(node)] = node
+                stack.extend(node._parents)
+                if node._backward is not None:
+                    interior[id(node)] = node
+        data = {id(node.data) for node in held.values()}
+        saved, cells = [], [c for node in interior.values() for c in node._backward.__closure__]
+        while cells:
+            value = cells.pop().cell_contents
+            if isinstance(value, np.ndarray) and id(value) not in data:
+                saved.append(weakref.ref(value))
+            elif isinstance(value, (list, tuple)):
+                saved.extend(weakref.ref(v) for v in value
+                             if isinstance(v, np.ndarray) and id(v) not in data)
+            elif callable(value) and getattr(value, "__closure__", None):
+                cells.extend(value.__closure__)
+        del held, stack, node, value
+        assert len(saved) >= 30
+        backward(loss)
+        for node in interior.values():
+            assert node._parents == () and node._backward is T._spent and node.grad is None
+        assert [ref for ref in saved if ref() is not None] == []
 
     def test_v2_parameter_gradients_match_fd(self):
         rng = np.random.default_rng(1)

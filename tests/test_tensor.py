@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from tssan import tensor as T
 from tssan.gradcheck import check_parameter_gradients, numeric_gradient, relative_error
+from tssan.nn import Linear
 from tssan.tensor import ShapeError, Tensor, backward
 
 from oracles import (amax_loops, conv2d_grad_loops, conv2d_loops, matmul_loops,
@@ -60,6 +62,43 @@ class TestMatmul:
         a = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
         fd_check(lambda: T.tsum(T.matmul(a, b)), [a, b], tol=1e-6)
+
+    @pytest.mark.parametrize("shapes", [((5, 7), (7, 3)), ((2, 4, 7), (7, 3)),
+                                        ((2, 4, 7), (2, 7, 3))],
+                             ids=["2d", "stacked", "batched"])
+    @pytest.mark.parametrize("dtypes", list(itertools.product((np.float32, np.float64),
+                                                              repeat=3)),
+                             ids=lambda d: "-".join(np.dtype(t).name for t in d))
+    def test_bias_has_the_bits_of_matmul_then_add(self, shapes, dtypes):
+        rng = np.random.default_rng(14)
+        arrays = [rng.normal(size=shape) for shape in shapes + ((3,),)]
+        upstream = rng.normal(size=np.broadcast_shapes(shapes[0][:-1] + (3,),
+                                                       shapes[1][:-2] + (1, 3)))
+        runs = []
+        for fused in (True, False):
+            a, w, bias = (Tensor(x.astype(t), requires_grad=True)
+                          for x, t in zip(arrays, dtypes))
+            out = T.matmul(a, w, bias) if fused else T.add(T.matmul(a, w), bias)
+            backward(T.tsum(out * Tensor(upstream.astype(out.dtype))))
+            runs.append([out.data, a.grad, w.grad, bias.grad])
+        assert runs[0][0].dtype == min(map(np.dtype, dtypes), key=lambda d: d.itemsize)
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_linear_forward_allocates_one_output(self):
+        # the bias is added into the product: no pre-bias array outlives it
+        layer = Linear(64, 96, np.random.default_rng(15))
+        x = Tensor(np.random.default_rng(16).normal(size=(8, 50, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = layer(x)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._parents == (x, layer.w, layer.b)
+        assert out.data.nbytes <= held < 1.25 * out.data.nbytes
 
 
 class TestConv2d:
@@ -559,6 +598,38 @@ class TestBackward:
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_rule_keeps_no_mask_and_matches_the_input_mask(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5, 2.0, tiny, -tiny], dtype)
+        g = np.array([3.0, -2.0, 1.0, 4.0, np.inf, np.nan, -0.5, 7.0, -1.0], dtype)
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):    # inf * 0 is NaN on both sides
+            out = T.relu(t)
+            assert out.data.tobytes() == (x * (x > 0)).tobytes()
+            saved = [c.cell_contents for c in out._backward.__closure__
+                     if isinstance(c.cell_contents, np.ndarray)]
+            assert len(saved) == 1 and saved[0] is out.data
+            out._backward(g)
+            assert t.grad.dtype == dtype and t.grad.tobytes() == (g * (x > 0)).tobytes()
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = T.tsum(T.relu(x) * 2.0)
+        backward(loss)
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward.*forward again"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_new_op_on_a_spent_tensor_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = T.relu(x)
+        backward(T.tsum(y))
+        assert y._parents == () and y.grad is None
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+            backward(T.tsum(y * 3.0))
+        np.testing.assert_array_equal(x.grad, np.ones(3))
 
 
 class TestMiscOps:
