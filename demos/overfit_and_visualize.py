@@ -5,7 +5,7 @@ model with the feed-forward encoder, evaluate it, then dump every
 attention probability matrix of one validation clip (each segment, person,
 layer and head) as CSV and PGM files (brighter pixel = higher probability).
 
-Run:  python3 demos/overfit_and_visualize.py   (takes a minute or two)
+Run:  python3 demos/overfit_and_visualize.py   (takes several seconds)
 """
 
 import os
@@ -42,7 +42,8 @@ sample = sorted(p for p in os.listdir(data) if p.startswith("val") and
 argv = ["export-attention", "--checkpoint", os.path.join(run, "best.ckpt"),
         "--sample", os.path.join(data, sample), "--out", maps]
 print(f"\n$ tssan {' '.join(argv)}")
-tssan_cli(argv)
+code = tssan_cli(argv)
+assert code == 0, f"export-attention failed with exit code {code}"
 
 print(f"\nheatmaps written to {maps}:")
 for name in sorted(os.listdir(maps)):

@@ -1,12 +1,12 @@
 """Command-line entry points: prepare, index, train, eval, export-attention.
 
 ``prepare --synthetic`` generates the separable synthetic benchmark, and
-``index`` reads a directory of sample files (NTU RGB+D or Kinetics
-skeletons in the sample format); each writes a manifest and a pack per
-split.  Configuration comes from an INI-style file ([model] / [tsn] /
-[train] sections of key = value pairs) with command-line flags taking
-precedence; the merged effective config is echoed into the output
-directory.  Exit codes: 0 success, 2 usage, configuration, input or
+``index`` reads a directory of sample files (NTU RGB+D or Kinetics skeletons
+in the sample format); ``data.write_split`` writes the splits of both, a
+manifest and a pack each.  Configuration comes from an INI-style file
+([model] / [tsn] / [train] sections of key = value pairs) with command-line
+flags taking precedence; the merged effective config is echoed into the
+output directory.  Exit codes: 0 success, 2 usage, configuration, input or
 file-system problem (any ``OSError``), 3 numeric divergence.
 """
 
@@ -16,15 +16,15 @@ import argparse
 import configparser
 import os
 import sys
+from collections import Counter
 from dataclasses import fields as dataclass_fields
 from functools import partial
 
 import numpy as np
 
-from .data import (SampleFormatError, ValidationError, load_manifest, load_sample,
-                   load_samples, make_synthetic_dataset, pack_path, read_sample,
-                   save_manifest, save_pack, validate_sample,
-                   DatasetManifest, DATASET_KINDS)
+from .data import (SampleFormatError, ValidationError, index_split, load_manifest,
+                   load_sample, load_samples, make_synthetic_dataset, split_files,
+                   DATASET_KINDS)
 from .models import ENCODERS, VARIANTS, ModelConfig
 from .segments import CONSENSUS_MODES, TsnConfig
 from .tensor import no_grad
@@ -138,13 +138,11 @@ def _add_index(sub):
     p.set_defaults(func=cmd_index)
 
 
-def _summarize(manifest, out):
-    counts: dict[int, int] = {}
-    for _, label in manifest.entries:
-        counts[label] = counts.get(label, 0) + 1
+def _summarize(manifest):
+    counts = Counter(label for _, label in manifest.entries)
     per_label = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
     print(f"{manifest.split}: {len(manifest.entries)} samples "
-          f"({manifest.kind}, labels {per_label}) -> {out}")
+          f"({manifest.kind}, labels {per_label}) -> {split_files(manifest)[0]}")
 
 
 def cmd_prepare(args) -> int:
@@ -161,7 +159,7 @@ def cmd_prepare(args) -> int:
                 coords=args.coords, noise=args.noise, seed=seed, split=split)
         except ValueError as exc:
             raise CliError(f"prepare --synthetic: {exc}") from exc
-        _summarize(manifest, os.path.join(args.out, f"{split}.manifest"))
+        _summarize(manifest)
     return 0
 
 
@@ -173,23 +171,9 @@ def cmd_index(args) -> int:
         raise CliError(f"no .txt sample files under {args.input}")
     if args.num_labels is not None and args.num_labels < 1:
         raise CliError(f"--num-labels must be at least 1, got {args.num_labels}")
-    paths = [os.path.join(args.input, name) for name in names]
-    samples, digests = zip(*map(read_sample, paths))
-    entries = [(os.path.relpath(path, args.out), sample.label)
-               for path, sample in zip(paths, samples)]
-    num_labels = args.num_labels or max(s.label for s in samples) + 1
-    manifest = DatasetManifest(kind=args.kind, num_labels=num_labels,
-                               split="train", entries=entries, base_dir=args.out)
-    # the samples are checked as already loaded, before anything is written
-    for (rel, label), sample in zip(entries, samples):
-        validate_sample(manifest, rel, label, sample)
-    os.makedirs(args.out, exist_ok=True)
-    save_pack(pack_path(manifest), ((digest, sample.clip.positions, sample.label)
-                                    for digest, sample in zip(digests, samples)))
-    path = os.path.join(args.out, "train.manifest")
-    save_manifest(path, manifest)
-    load_manifest(path)    # the manifest must read back
-    _summarize(manifest, path)
+    manifest = index_split([os.path.join(args.input, name) for name in names],
+                           args.out, args.kind, args.num_labels)
+    _summarize(manifest)
     return 0
 
 

@@ -8,8 +8,9 @@ slots stay at zero; ``segments.sample_segments`` applies them per segment.
 
 Text sample files are the interchange format.  They are parsed in one
 walk over their rows, in file order, which names the first bad line
-(:func:`_parse_sample`).  Next to each ``<split>.manifest``, ``prepare``
-and ``index`` also write a ``<split>.pack``: a checkpoint container
+(:func:`_parse_sample`).  A split is a ``<split>.manifest`` and a
+``<split>.pack`` next to it, and :func:`write_split` alone writes them,
+for ``prepare`` and ``index`` both.  The pack is a checkpoint container
 (``checkpoint.py``) that maps the SHA-256 of each sample file's bytes to
 the float64 positions and the header label that parsing those bytes
 gives.  :func:`load_samples` reads and hashes each listed file and takes
@@ -166,8 +167,7 @@ def center_crop_window(frames: int, ratio: float = 0.9) -> slice:
 
 def save_sample(path: str, clip: SkeletonClip, label: int) -> str:
     """Write one labelled clip as a sample text file; return the SHA-256
-    hex digest of the bytes written, the clip's key in a pack
-    (:func:`save_pack`).
+    hex digest of the bytes written, the clip's key in a pack.
 
     Format (UTF-8 text, LF, CRLF or CR line ends): a header line
     ``F S J C label`` of five integers, then F*S*J data rows of C reals
@@ -182,11 +182,6 @@ def save_sample(path: str, clip: SkeletonClip, label: int) -> str:
     an extent below 1 or a negative label, or F < 2; a row without exactly
     C values; a non-numeric or non-finite value; rows beyond F*S*J; and
     fewer rows than F*S*J (``truncated``, naming the file only).
-
-    ``prepare`` stores each clip it writes, and ``index`` each clip it
-    reads, in its split's pack too, under this digest, so that
-    :func:`load_samples` skips the parse while the file's bytes stay the
-    same; an edited file is parsed again.
     """
     frames, persons, joints, coords = clip.positions.shape
     values = clip.positions.ravel().tolist()
@@ -298,15 +293,6 @@ def _labeled(path: str, positions: np.ndarray, label: int) -> LabeledSample:
 _MANIFEST_KEYS = ("kind", "num_labels", "split")
 
 
-def save_manifest(path: str, manifest: DatasetManifest):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"kind\t{manifest.kind}\n")
-        fh.write(f"num_labels\t{manifest.num_labels}\n")
-        fh.write(f"split\t{manifest.split}\n")
-        for rel, label in manifest.entries:
-            fh.write(f"{rel}\t{label}\n")
-
-
 def load_manifest(path: str) -> DatasetManifest:
     header: dict[str, str] = {}
     entries: list[tuple[str, int]] = []
@@ -356,19 +342,49 @@ def validate_sample(manifest: DatasetManifest, rel: str, label: int,
                               f"does not match kind {manifest.kind!r} {geometry}")
 
 
-def pack_path(manifest: DatasetManifest) -> str:
-    """Where ``prepare`` and ``index`` write the pack of a manifest's split."""
-    return os.path.join(manifest.base_dir, f"{manifest.split}.pack")
+def split_files(manifest: DatasetManifest) -> tuple[str, str]:
+    """The manifest and the pack file of a split, as :func:`write_split` names them."""
+    stem = os.path.join(manifest.base_dir, manifest.split)
+    return stem + ".manifest", stem + ".pack"
 
 
-def save_pack(path: str, clips):
-    """Write a pack of (digest, positions, label) triples: the positions
-    array is named by the digest, and the meta maps each digest to its label."""
-    arrays, labels = {}, {}
-    for digest, positions, label in clips:
-        arrays[digest] = positions
-        labels[digest] = label
-    save_checkpoint(path, arrays, {"labels": labels})
+def write_split(manifest: DatasetManifest, pack: dict[str, tuple[np.ndarray, int]]):
+    """Write a split into ``manifest.base_dir``: its pack (digest ->
+    (positions, label), as :func:`_load_pack` reads it), then its manifest.
+    Nothing is written, the directory included, unless :func:`load_manifest`'s
+    line rules read the manifest text back line for line, in memory; else a
+    :class:`ValidationError` names the line."""
+    path, pack_file = split_files(manifest)
+    lines = [(key, str(getattr(manifest, key))) for key in _MANIFEST_KEYS]
+    lines += [(rel, str(label)) for rel, label in manifest.entries]
+    # a name's non-UTF-8 byte is written as "?", so that it reads back as another name
+    data = "".join(f"{key}\t{value}\n" for key, value in lines).encode("utf-8", "replace")
+    read = [line.split("\t") for _, line in _data_lines(_decode(path, data).split("\n"))]
+    for (key, value), got in zip(lines, [*read, None]):
+        if got != [key, value]:
+            raise ValidationError(f"{path}: a manifest line cannot hold {key!r} "
+                                  f"(value {value!r}): its reader would not give it back")
+    os.makedirs(manifest.base_dir, exist_ok=True)
+    save_checkpoint(pack_file, {digest: positions for digest, (positions, _) in pack.items()},
+                    {"labels": {digest: label for digest, (_, label) in pack.items()}})
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def index_split(paths: list[str], out_dir: str, kind: str,
+                num_labels: int | None = None) -> DatasetManifest:
+    """Write the train split of ``out_dir`` that lists the sample files
+    ``paths`` relative to it, each read once and validated before anything
+    is written; ``num_labels`` defaults to the largest label + 1."""
+    samples, digests = zip(*map(read_sample, paths))
+    manifest = DatasetManifest(kind, num_labels or max(s.label for s in samples) + 1, "train",
+                               [(os.path.relpath(path, out_dir), sample.label)
+                                for path, sample in zip(paths, samples)], out_dir)
+    for (rel, label), sample in zip(manifest.entries, samples):
+        validate_sample(manifest, rel, label, sample)
+    write_split(manifest, {digest: (sample.clip.positions, sample.label)
+                           for digest, sample in zip(digests, samples)})
+    return manifest
 
 
 def _load_pack(path: str) -> dict[str, tuple[np.ndarray, int]]:
@@ -398,7 +414,7 @@ def load_samples(manifest: DatasetManifest) -> list[LabeledSample]:
     Each file is read once and hashed; its clip comes from the split's
     pack when the digest is there, and from parsing those bytes otherwise.
     """
-    pack = _load_pack(pack_path(manifest))
+    pack = _load_pack(split_files(manifest)[1])
     samples = []
     for rel, label in manifest.entries:
         path = os.path.join(manifest.base_dir, rel)
@@ -445,8 +461,8 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
     """Generate a separable multi-class motion dataset and its manifest.
 
     Coordinates are snapped to a dyadic grid so differencing and prefix
-    sums reconstruct positions exactly.  Writes the sample files, the
-    split's pack and its manifest; same seed, same bytes.
+    sums reconstruct positions exactly.  Writes the sample files, then the
+    split (:func:`write_split`); same seed, same bytes.
     """
     if min(num_labels, samples_per_label, frames, joints, persons, coords) < 1:
         raise ValueError("all synthetic dataset extents must be positive")
@@ -456,7 +472,7 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
     rng = np.random.default_rng(seed)
     manifest = DatasetManifest(kind="synthetic", num_labels=num_labels, split=split,
                                base_dir=out_dir)
-    clips = []
+    pack = {}
     for label in range(num_labels):
         proto = _class_prototype(label, joints, persons, coords, frames)
         for i in range(samples_per_label):
@@ -468,8 +484,7 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
             clip = SkeletonClip(positions, np.ones(persons, dtype=bool))
             rel = f"{split}_{label:02d}_{i:04d}.txt"
             digest = save_sample(os.path.join(out_dir, rel), clip, label)
-            clips.append((digest, clip.positions, label))
+            pack[digest] = clip.positions, label
             manifest.entries.append((rel, label))
-    save_pack(pack_path(manifest), clips)
-    save_manifest(os.path.join(out_dir, f"{split}.manifest"), manifest)
+    write_split(manifest, pack)
     return manifest

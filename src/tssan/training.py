@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -70,8 +70,7 @@ class MetricsRecord:
     seconds: float
 
     def line(self) -> str:
-        return (f"epoch={self.epoch} loss={self.loss!r} top1={self.top1!r} "
-                f"top5={self.top5!r} lr={self.lr!r} seconds={self.seconds!r}")
+        return " ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
 
 
 @dataclass

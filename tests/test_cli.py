@@ -158,6 +158,23 @@ class TestPrepare:
         assert capsys.readouterr().err == f"error: ../clips/{message}\n"
         assert not (tmp_path / "o" / "train.manifest").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "empty-out"])
+    @pytest.mark.parametrize("name", ["a#1.txt", "c\td.txt", os.fsdecode(b"\xff.txt")],
+                             ids=["hash", "tab", "non-utf8"])
+    def test_name_no_manifest_line_holds_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                                 name, existing):
+        folder = _clip_dir(tmp_path, {"a.txt": (3, 2), name: (3, 2)})
+        out = tmp_path / "o"
+        if existing:
+            out.mkdir()
+        code = run_cli("index", "--out", str(out), "--input", str(folder))
+        assert code == 2
+        rel = os.path.join("..", "clips", name)
+        assert capsys.readouterr().err == (f"error: {out / 'train.manifest'}: a manifest "
+                                           f"line cannot hold {rel!r} (value '0'): its "
+                                           f"reader would not give it back\n")
+        assert os.listdir(out) == [] if existing else not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_num_labels_below_one_exits_2(self, tmp_path, capsys, value):
         folder = _clip_dir(tmp_path, {"a.txt": (3, 2)})

@@ -13,7 +13,7 @@ from tssan.data import (
     DatasetManifest, SampleFormatError, SkeletonClip, ValidationError,
     center_crop_window, frame_differences, load_manifest, load_sample,
     load_samples, make_synthetic_dataset, random_crop_window, resample_frames,
-    save_manifest, save_sample,
+    save_sample, write_split,
 )
 
 from oracles import load_sample_loops, save_sample_loops
@@ -241,20 +241,46 @@ class TestSampleFiles:
         manifest = DatasetManifest(kind="synthetic", num_labels=2, split="val",
                                    entries=[("a.txt", 0)], base_dir=str(tmp_path))
         mpath = tmp_path / "val.manifest"
-        save_manifest(str(mpath), manifest)
+        write_split(manifest, {})
         loaded = load_manifest(str(mpath))
         assert (loaded.kind, loaded.num_labels, loaded.split) == ("synthetic", 2, "val")
         assert loaded.entries == [("a.txt", 0)]
 
         manifest.entries.append(("gone.txt", 1))
-        save_manifest(str(mpath), manifest)
+        write_split(manifest, {})
         with pytest.raises(ValidationError, match="gone.txt"):
             load_manifest(str(mpath))
 
+    @pytest.mark.parametrize("split, rel", [
+        ("val", "a#b.txt"), ("val", "a\tb.txt"), ("val", "a\nb.txt"), ("val", "a\rb.txt"),
+        ("val", " a.txt"), ("val", "\x0ca.txt"), ("val", ""), ("val", "\udcff.txt"),
+        ("v#1", "a.txt"),
+    ], ids=["hash", "tab", "lf", "cr", "edge-space", "edge-formfeed", "empty", "non-utf8",
+            "split"])
+    def test_write_split_refuses_a_line_its_reader_reads_otherwise(self, tmp_path, split, rel):
+        base = tmp_path / "out"
+        manifest = DatasetManifest(kind="synthetic", num_labels=2, split=split,
+                                   entries=[("ok.txt", 0), (rel, 1)], base_dir=str(base))
+        key, value = ("split", split) if split != "val" else (rel, "1")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{base / (split + '.manifest')}: a manifest line cannot hold {key!r} "
+                f"(value {value!r})")):
+            write_split(manifest, {})
+        assert not base.exists()
+
+    def test_write_split_keeps_names_its_reader_reads_back(self, tmp_path):
+        entries = [("../in/b c.txt", 0), ("é \x0c\xa0\u2028.txt", 1), ("kind", 0)]
+        for rel, _ in entries:
+            os.makedirs(os.path.dirname(tmp_path / "out" / rel), exist_ok=True)
+            (tmp_path / "out" / rel).write_text("")
+        write_split(DatasetManifest(kind="synthetic", num_labels=2, split="val",
+                                    entries=entries, base_dir=str(tmp_path / "out")), {})
+        assert load_manifest(str(tmp_path / "out" / "val.manifest")).entries == entries
+
     def test_manifest_without_entries_rejected(self, tmp_path):
         mpath = tmp_path / "val.manifest"
-        save_manifest(str(mpath), DatasetManifest(kind="synthetic", num_labels=2, split="val",
-                                                  entries=[], base_dir=str(tmp_path)))
+        write_split(DatasetManifest(kind="synthetic", num_labels=2, split="val", entries=[],
+                                    base_dir=str(tmp_path)), {})
         with pytest.raises(SampleFormatError, match=rf"^{mpath}: manifest lists no samples$"):
             load_manifest(str(mpath))
 
@@ -528,9 +554,9 @@ class TestSamplePack:
                       "forged-shape": lambda pos, label: (pos[0], label),
                       "forged-empty": lambda pos, label: (pos[:, :0], label),
                       "forged-label": lambda pos, label: (pos, -1)}[damage]
-            data.save_pack(str(pack), ((digest, *forged(sample.clip.positions, sample.label))
-                                       for sample, digest in map(data.read_sample,
-                                                                 manifest.sample_paths())))
+            data.write_split(manifest, {digest: forged(sample.clip.positions, sample.label)
+                                        for sample, digest in map(data.read_sample,
+                                                                  manifest.sample_paths())})
         want = _text_parse(manifest)
         parsed.clear()
         got = load_samples(manifest)

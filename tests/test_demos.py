@@ -1,6 +1,6 @@
 """The quick demos run to completion against the current package.
 
-``demos/overfit_and_visualize.py`` trains for tens of seconds and is left
+``demos/overfit_and_visualize.py`` trains for several seconds and is left
 out of this suite.
 """
 
