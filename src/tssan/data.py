@@ -348,13 +348,11 @@ def split_files(manifest: DatasetManifest) -> tuple[str, str]:
     return stem + ".manifest", stem + ".pack"
 
 
-def write_split(manifest: DatasetManifest, pack: dict[str, tuple[np.ndarray, int]]):
-    """Write a split into ``manifest.base_dir``: its pack (digest ->
-    (positions, label), as :func:`_load_pack` reads it), then its manifest.
-    Nothing is written, the directory included, unless :func:`load_manifest`'s
-    line rules read the manifest text back line for line, in memory; else a
-    :class:`ValidationError` names the line."""
-    path, pack_file = split_files(manifest)
+def _manifest_bytes(manifest: DatasetManifest) -> bytes:
+    """The manifest file's bytes, once :func:`load_manifest`'s line rules
+    read them back line for line, in memory; else a :class:`ValidationError`
+    names the line."""
+    path = split_files(manifest)[0]
     lines = [(key, str(getattr(manifest, key))) for key in _MANIFEST_KEYS]
     lines += [(rel, str(label)) for rel, label in manifest.entries]
     # a name's non-UTF-8 byte is written as "?", so that it reads back as another name
@@ -364,6 +362,16 @@ def write_split(manifest: DatasetManifest, pack: dict[str, tuple[np.ndarray, int
         if got != [key, value]:
             raise ValidationError(f"{path}: a manifest line cannot hold {key!r} "
                                   f"(value {value!r}): its reader would not give it back")
+    return data
+
+
+def write_split(manifest: DatasetManifest, pack: dict[str, tuple[np.ndarray, int]]):
+    """Write a split into ``manifest.base_dir``: its pack (digest ->
+    (positions, label), as :func:`_load_pack` reads it), then its manifest.
+    Nothing is written, the directory included, unless the manifest passes
+    :func:`_manifest_bytes`."""
+    data = _manifest_bytes(manifest)
+    path, pack_file = split_files(manifest)
     os.makedirs(manifest.base_dir, exist_ok=True)
     save_checkpoint(pack_file, {digest: positions for digest, (positions, _) in pack.items()},
                     {"labels": {digest: label for digest, (_, label) in pack.items()}})
@@ -461,30 +469,33 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
     """Generate a separable multi-class motion dataset and its manifest.
 
     Coordinates are snapped to a dyadic grid so differencing and prefix
-    sums reconstruct positions exactly.  Writes the sample files, then the
-    split (:func:`write_split`); same seed, same bytes.
+    sums reconstruct positions exactly.  Checks the manifest
+    (:func:`_manifest_bytes`) before it creates anything, then writes the
+    sample files and the split (:func:`write_split`); same seed, same bytes.
     """
     if min(num_labels, samples_per_label, frames, joints, persons, coords) < 1:
         raise ValueError("all synthetic dataset extents must be positive")
     if frames < 2:
         raise ValueError("synthetic clips need at least 2 frames")
+    manifest = DatasetManifest(kind="synthetic", num_labels=num_labels, split=split,
+                               entries=[(f"{split}_{label:02d}_{i:04d}.txt", label)
+                                        for label in range(num_labels)
+                                        for i in range(samples_per_label)],
+                               base_dir=out_dir)
+    _manifest_bytes(manifest)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    manifest = DatasetManifest(kind="synthetic", num_labels=num_labels, split=split,
-                               base_dir=out_dir)
     pack = {}
-    for label in range(num_labels):
-        proto = _class_prototype(label, joints, persons, coords, frames)
-        for i in range(samples_per_label):
-            jitter = 1.0 + noise * rng.normal()
-            drift = noise * rng.normal(size=coords)
-            wobble = noise * rng.normal(size=proto.shape)
-            positions = proto * jitter + drift + wobble
-            positions = np.round(positions * _GRID) / _GRID
-            clip = SkeletonClip(positions, np.ones(persons, dtype=bool))
-            rel = f"{split}_{label:02d}_{i:04d}.txt"
-            digest = save_sample(os.path.join(out_dir, rel), clip, label)
-            pack[digest] = clip.positions, label
-            manifest.entries.append((rel, label))
+    for n, (rel, label) in enumerate(manifest.entries):
+        if n % samples_per_label == 0:
+            proto = _class_prototype(label, joints, persons, coords, frames)
+        jitter = 1.0 + noise * rng.normal()
+        drift = noise * rng.normal(size=coords)
+        wobble = noise * rng.normal(size=proto.shape)
+        positions = proto * jitter + drift + wobble
+        positions = np.round(positions * _GRID) / _GRID
+        clip = SkeletonClip(positions, np.ones(persons, dtype=bool))
+        digest = save_sample(os.path.join(out_dir, rel), clip, label)
+        pack[digest] = clip.positions, label
     write_split(manifest, pack)
     return manifest

@@ -1,17 +1,29 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward rule on the produced
-tensor, so the computation graph doubles as the gradient tape.  A rule
-saves only the arrays it reads (``relu`` reads its output, not a mask).
-Calling :func:`backward` on a scalar walks that graph once in reverse
-topological order, accumulating into ``.grad`` exactly once per use of
-each input.  The walk consumes the graph: after an interior node's rule
-has fired, the node drops its grad, its parents and the rule, so the
-arrays the rule saved are freed during the walk, and a second
-:func:`backward` through the node raises ``RuntimeError``.
+The graph is made of vertices, not of tensors.  Every operation whose
+operands need a gradient records a vertex: the gradient that reaches it,
+its output's dtype, the vertices of those operands and a backward rule.
+A leaf that requires grad is its own vertex.  A rule closes over its
+operands' vertices, their shapes and the arrays it reads (``relu`` reads
+its output, not a mask), never over an operand tensor, so an op's output
+lives only as long as its caller or a rule that saved it holds it.
+Calling :func:`backward` on a scalar walks the vertices once in reverse
+topological order, accumulating exactly once per use of each input; only
+leaves get a ``.grad``, and an interior tensor's ``.grad`` is never set.
+The walk consumes the graph: after a vertex's rule has fired, the vertex
+drops its grad, its parents and the rule, so the arrays the rule saved
+are freed during the walk, and a second :func:`backward` through it, or
+through a new op on its tensor, raises ``RuntimeError``.
 A stored gradient is never written again: a later use replaces ``.grad``
 with a new sum.  So ``.grad`` may be a view of, or the same array as,
 another tensor's gradient, and callers treat it as read-only.
+
+Layout rule: a rule that allocates a gradient shaped like its input makes
+it with ``empty_like`` or ``zeros_like`` of the input's array, which it
+keeps only where the array stays alive anyway (``index``'s output views
+it, ``_max_of_slices`` holds its slices) or is small (the (B, L) log
+probabilities of ``nll_from_log_probs``).  The gradient then has the
+input's memory layout, so a later GEMM over it sums in the same order.
 
 Dtype rule: a tensor keeps the dtype of floating input and stores
 anything else as float64.  The ops that take parameters (:func:`add`,
@@ -56,23 +68,51 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+class _Vertex:
+    """A recorded op's place in the graph: the gradient that reaches it, its
+    output's dtype, the vertices of its inputs that need a gradient, and its
+    rule.  It never holds the op's output."""
+
+    __slots__ = ("grad", "dtype", "_parents", "_backward")
+
+    def __init__(self, dtype, parents, rule):
+        self.grad = None
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = rule
+
+
 class Tensor:
     """A float array plus an optional gradient of the same shape, held in
     the same or a narrower floating dtype (see the module's dtype rule).
 
     Floating input keeps its dtype (float32 activations, float64 masters);
-    integer, boolean and Python-scalar input becomes float64.
+    integer, boolean and Python-scalar input becomes float64.  A leaf that
+    requires grad is its own vertex; an op's result points to the vertex
+    its op recorded, and its ``_parents`` and ``_backward`` are that
+    vertex's (the rule may be replaced, say by a wrapper that times it).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_vertex")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._vertex = None
+
+    @property
+    def _parents(self):
+        return () if self._vertex is None else self._vertex._parents
+
+    @property
+    def _backward(self):
+        return None if self._vertex is None else self._vertex._backward
+
+    @_backward.setter
+    def _backward(self, rule):
+        self._vertex._backward = rule
 
     @property
     def shape(self):
@@ -106,23 +146,34 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    # the first contribution is kept as it is, narrowed only to t's dtype or
+def _target(t: Tensor):
+    """The vertex a rule sends ``t``'s gradient to: a leaf itself, an op
+    result's vertex, or None when ``t`` needs no gradient or nothing is
+    recorded (under :func:`no_grad`)."""
+    if not (_GRAD_ENABLED and t.requires_grad):
+        return None
+    return t if t._vertex is None else t._vertex
+
+
+def _accumulate(v, g: np.ndarray):
+    # the first contribution is kept as it is, narrowed only to v's dtype or
     # made an array from the numpy scalar of a 0-d op; a later one makes a new
-    # sum in the wider dtype, stored in t's dtype, never +=
-    if t.grad is None:
+    # sum in the wider dtype, stored in v's dtype, never +=
+    if v.grad is None:
         g = np.asarray(g)
-        t.grad = g if g.dtype.itemsize <= t.data.dtype.itemsize else g.astype(t.data.dtype)
+        v.grad = g if g.dtype.itemsize <= v.dtype.itemsize else g.astype(v.dtype)
     else:
-        t.grad = np.asarray(t.grad.astype(t.data.dtype, copy=False) + g, dtype=t.data.dtype)
+        v.grad = np.asarray(v.grad.astype(v.dtype, copy=False) + g, dtype=v.dtype)
 
 
-def _node(data, parents, backward_fn) -> Tensor:
+def _node(data, inputs, backward_fn) -> Tensor:
+    # inputs are the _target of each operand; the result needs a gradient
+    # when any of them is a vertex
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    parents = tuple(v for v in inputs if v is not None)
+    if parents:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._vertex = _Vertex(out.data.dtype, parents, backward_fn)
     return out
 
 
@@ -149,19 +200,20 @@ def _spent(g):
 
 
 def backward(loss: Tensor):
-    """Populate ``.grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``.grad`` on every requires_grad leaf reachable from loss.
 
     Multiple uses of a tensor accumulate by sum.  The loss must be scalar.
-    The graph is consumed: once an interior node's rule has fired, the node
-    drops its grad, its parents and the rule with the arrays it saved, and
-    a later backward through it raises ``RuntimeError``.
+    The graph is consumed: once a vertex's rule has fired, the vertex drops
+    its grad, its parents and the rule with the arrays it saved, and a
+    later backward through it raises ``RuntimeError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
 
-    topo: list[Tensor] = []
+    root = loss if loss._vertex is None else loss._vertex
+    topo = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -172,15 +224,15 @@ def backward(loss: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
-            # an interior node is fully consumed once its rule has fired;
-            # freeing it as the walk goes bounds peak memory on deep graphs
+            # a vertex is fully consumed once its rule has fired; freeing it
+            # as the walk goes bounds peak memory on deep graphs
             node.grad = None
             node._parents = ()
             node._backward = _spent
@@ -192,77 +244,75 @@ def backward(loss: Tensor):
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = _narrowest(a, b)
+    va, vb, a_shape, b_shape = _target(a), _target(b), a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g, a_shape))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(g, b_shape))
 
-    return _node(ad + bd, (a, b), bwd)
+    return _node(ad + bd, (va, vb), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    va, vb, a_shape, b_shape = _target(a), _target(b), a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g, a_shape))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(-g, b_shape))
 
-    return _node(a.data - b.data, (a, b), bwd)
+    return _node(a.data - b.data, (va, vb), bwd)
 
 
 def mul(a, b) -> Tensor:
     if isinstance(b, (int, float)) and isinstance(a, Tensor):
         s = float(b)
+        va = _target(a)
 
         def bwd_scalar(g):
-            _accumulate(a, g * s)
+            _accumulate(va, g * s)
 
-        return _node(a.data * s, (a,), bwd_scalar)
+        return _node(a.data * s, (va,), bwd_scalar)
 
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd, va, vb = a.data, b.data, _target(a), _target(b)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g * bd, ad.shape))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(g * ad, bd.shape))
 
-    return _node(a.data * b.data, (a, b), bwd)
+    return _node(ad * bd, (va, vb), bwd)
 
 
 def exp(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out_data = np.exp(x.data)
-
-    def bwd(g):
-        _accumulate(x, g * out_data)
-
-    return _node(out_data, (x,), bwd)
+    out_data, vx = np.exp(x.data), _target(x)
+    return _node(out_data, (vx,), lambda g: _accumulate(vx, g * out_data))
 
 
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
-
-    def bwd(g):
-        _accumulate(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), bwd)
+    xd, vx = x.data, _target(x)
+    return _node(np.log(xd), (vx,), lambda g: _accumulate(vx, g / xd))
 
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out_data = x.data * (x.data > 0)
+    vx = _target(x)
 
     def bwd(g):
         # out > 0 exactly where x > 0 (also for -0.0, NaN and -inf, whose
         # outputs -0.0, NaN and NaN are not positive), so no mask is kept
-        _accumulate(x, g * (out_data > 0))
+        _accumulate(vx, g * (out_data > 0))
 
-    return _node(out_data, (x,), bwd)
+    return _node(out_data, (vx,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -270,52 +320,56 @@ def relu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
-    old = x.data.shape
+    old, vx = x.shape, _target(x)
 
     def bwd(g):
-        _accumulate(x, g.reshape(old))
+        _accumulate(vx, g.reshape(old))
 
-    return _node(x.data.reshape(shape), (x,), bwd)
+    return _node(x.data.reshape(shape), (vx,), bwd)
 
 
 def permute(x: Tensor, axes) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
+    vx = _target(x)
 
     def bwd(g):
-        _accumulate(x, g.transpose(inverse))
+        _accumulate(vx, g.transpose(inverse))
 
-    return _node(x.data.transpose(axes), (x,), bwd)
+    return _node(x.data.transpose(axes), (vx,), bwd)
 
 
 def index(x: Tensor, key) -> Tensor:
-    """Basic (slice/int) indexing; the backward scatters into zeros."""
+    """Basic (slice/int) indexing; the backward scatters into zeros laid out
+    like the input, which the output views anyway."""
     x = as_tensor(x)
+    xd, vx = x.data, _target(x)
 
     def bwd(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros_like(xd)
         full[key] = g
-        _accumulate(x, full)
+        _accumulate(vx, full)
 
-    return _node(x.data[key], (x,), bwd)
+    return _node(xd[key], (vx,), bwd)
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    vertices = [_target(t) for t in tensors]
 
     def bwd(g):
         offset = 0
-        for t, size in zip(tensors, sizes):
+        for v, size in zip(vertices, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + size)
-            if t.requires_grad:
-                _accumulate(t, g[tuple(sl)])
+            if v is not None:
+                _accumulate(v, g[tuple(sl)])
             offset += size
 
-    return _node(out_data, tuple(tensors), bwd)
+    return _node(out_data, vertices, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -330,46 +384,50 @@ def _normalize_axis(axis, ndim):
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axis(axis, x.data.ndim)
+    shape, vx = x.shape, _target(x)
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape))
+        _accumulate(vx, np.broadcast_to(np.expand_dims(g, axes), shape))
 
-    return _node(x.data.sum(axis=axes), (x,), bwd)
+    return _node(x.data.sum(axis=axes), (vx,), bwd)
 
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axis(axis, x.data.ndim)
-    count = int(np.prod([x.data.shape[a] for a in axes]))
+    shape, vx = x.shape, _target(x)
+    count = int(np.prod([shape[a] for a in axes]))
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape) / count)
+        _accumulate(vx, np.broadcast_to(np.expand_dims(g, axes), shape) / count)
 
-    return _node(x.data.mean(axis=axes), (x,), bwd)
+    return _node(x.data.mean(axis=axes), (vx,), bwd)
 
 
 def _max_of_slices(x: Tensor, slices_of) -> Tensor:
     """Elementwise maximum of the same-shape views ``slices_of(x.data)``.
 
-    The backward writes through ``slices_of`` of an array shaped like ``x``:
-    slice i takes the gradient where it equals the maximum and no earlier
-    slice did, and the last slice takes every position still left.
+    The backward writes through ``slices_of`` of an array laid out like
+    ``x.data``, which the saved slices hold anyway: slice i takes the
+    gradient where it equals the maximum and no earlier slice did, and the
+    last slice takes every position still left.
     """
-    slices = slices_of(x.data)
+    xd, vx = x.data, _target(x)
+    slices = slices_of(xd)
     out_data = np.maximum(slices[0], slices[-1])    # a new array, also for one slice
     for s in slices[1:-1]:
         np.maximum(out_data, s, out=out_data)
 
     def bwd(g):
-        full = np.empty_like(x.data)
+        full = np.empty_like(xd)
         free = np.ones(out_data.shape, dtype=bool)    # positions not yet routed
         for i, (s, dst) in enumerate(zip(slices, slices_of(full))):
             first = free if i == len(slices) - 1 else (s == out_data) & free
             np.multiply(g, first, out=dst)
             free ^= first
-        _accumulate(x, full)
+        _accumulate(vx, full)
 
-    return _node(out_data, (x,), bwd)
+    return _node(out_data, (vx,), bwd)
 
 
 def amax(x: Tensor, axis: int) -> Tensor:
@@ -384,11 +442,12 @@ def logsumexp(x: Tensor, axis: int) -> Tensor:
     shifted = np.exp(x.data - m)
     total = shifted.sum(axis=axis, keepdims=True)
     out_data = np.squeeze(np.log(total) + m, axis=axis)
+    vx = _target(x)
 
     def bwd(g):
-        _accumulate(x, np.expand_dims(g, axis) * shifted / total)
+        _accumulate(vx, np.expand_dims(g, axis) * shifted / total)
 
-    return _node(out_data, (x,), bwd)
+    return _node(out_data, (vx,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +467,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}")
     ad, bd = _narrowest(a, b)
+    va, vb = _target(a), _target(b)
 
     if ad.ndim > 2 and bd.ndim == 2:
         # stacked input times one weight matrix: flatten the stack so the
@@ -419,33 +479,34 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
         def product_bwd(g):
             g2 = g.reshape(-1, bd.shape[-1])
-            if a.requires_grad:
-                _accumulate(a, (g2 @ bd.T).reshape(ad.shape))
-            if b.requires_grad:
-                _accumulate(b, a2.T @ g2)
+            if va is not None:
+                _accumulate(va, (g2 @ bd.T).reshape(ad.shape))
+            if vb is not None:
+                _accumulate(vb, a2.T @ g2)
     else:
         out_data = ad @ bd
 
         def product_bwd(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            if va is not None:
+                _accumulate(va, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            if vb is not None:
+                _accumulate(vb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     if bias is None:
-        return _node(out_data, (a, b), product_bwd)
+        return _node(out_data, (va, vb), product_bwd)
 
     bias = as_tensor(bias)
     dtype = min(out_data.dtype, bias.data.dtype, key=lambda d: d.itemsize)
     out_data = out_data.astype(dtype, copy=False)
     out_data += bias.data.astype(dtype, copy=False)
+    vbias, bias_shape = _target(bias), bias.shape
 
     def bwd(g):
         product_bwd(g)
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if vbias is not None:
+            _accumulate(vbias, _unbroadcast(g, bias_shape))
 
-    return _node(out_data, (a, b, bias), bwd)
+    return _node(out_data, (va, vb, vbias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +518,12 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
+    vx = _target(x)
 
     def bwd(g):
-        _accumulate(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        _accumulate(vx, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
-    return _node(s, (x,), bwd)
+    return _node(s, (vx,), bwd)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -470,11 +532,12 @@ def log_softmax(x: Tensor) -> Tensor:
     shifted = x.data - m
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
+    vx = _target(x)
 
     def bwd(g):
-        _accumulate(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
+        _accumulate(vx, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
-    return _node(out_data, (x,), bwd)
+    return _node(out_data, (vx,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -489,18 +552,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xh = xc * inv
+    vx, vgamma, vbeta = _target(x), _target(gamma), _target(beta)
 
     def bwd(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xh).reshape(-1, dim).sum(axis=0))
-        if beta.requires_grad:
-            _accumulate(beta, g.reshape(-1, dim).sum(axis=0))
-        if x.requires_grad:
+        if vgamma is not None:
+            _accumulate(vgamma, (g * xh).reshape(-1, dim).sum(axis=0))
+        if vbeta is not None:
+            _accumulate(vbeta, g.reshape(-1, dim).sum(axis=0))
+        if vx is not None:
             gh = g * gd
-            _accumulate(x, inv * (gh - gh.mean(axis=-1, keepdims=True)
-                                  - xh * (gh * xh).mean(axis=-1, keepdims=True)))
+            _accumulate(vx, inv * (gh - gh.mean(axis=-1, keepdims=True)
+                                   - xh * (gh * xh).mean(axis=-1, keepdims=True)))
 
-    return _node(gd * xh + bd, (x, gamma, beta), bwd)
+    return _node(gd * xh + bd, (vx, vgamma, vbeta), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -520,14 +584,15 @@ def nll_from_log_probs(log_probs: Tensor, labels) -> Tensor:
     n, num_labels = log_probs.data.shape
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= num_labels:
         raise IndexError(f"labels must lie in [0, {num_labels})")
-    out_data = -np.mean(log_probs.data[np.arange(n), labels])
+    lpd, vlp = log_probs.data, _target(log_probs)
+    out_data = -np.mean(lpd[np.arange(n), labels])
 
     def bwd(g):
-        full = np.zeros_like(log_probs.data)
+        full = np.zeros_like(lpd)
         full[np.arange(n), labels] = -float(g) / n
-        _accumulate(log_probs, full)
+        _accumulate(vlp, full)
 
-    return _node(out_data, (log_probs,), bwd)
+    return _node(out_data, (vlp,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +614,12 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     # float64 draws in every dtype, so a seed fixes the same mask; only the
     # bool keep-mask is held for the backward, which scales it again
     keep = rng.random(x.data.shape) >= rate
+    dtype, vx = x.data.dtype, _target(x)
 
     def bwd(g):
-        _accumulate(x, g * (keep.astype(x.data.dtype) * scale))
+        _accumulate(vx, g * (keep.astype(dtype) * scale))
 
-    return _node(x.data * (keep.astype(x.data.dtype) * scale), (x,), bwd)
+    return _node(x.data * (keep.astype(dtype) * scale), (vx,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +706,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xbuf = padded_rows(xd)
     out = shifted_gemms(xbuf, taps, 1)
     out += bd[:, None, None]
+    vx, vw, vb = _target(x), _target(w), _target(b)
 
     def bwd(g):
         gbuf = padded_rows(g)
-        if w.requires_grad:
+        if vw is not None:
             dtaps = np.zeros((kh * kw, cin, cout), dtype=dtype)
             part = np.empty((cin, cout), dtype=dtype)
             for r0 in range(0, rows, _CONV_ROW_BLOCK):
@@ -652,13 +719,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                     lo = tail + s + r0
                     np.matmul(xbuf[lo:lo + len(grows)].T, grows, out=part)
                     dtaps[t] += part
-            _accumulate(w, dtaps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
-        if x.requires_grad:
-            _accumulate(x, shifted_gemms(gbuf, taps.transpose(0, 2, 1), -1))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, (cout, 1, 1)).reshape(cout))
+            _accumulate(vw, dtaps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
+        if vx is not None:
+            _accumulate(vx, shifted_gemms(gbuf, taps.transpose(0, 2, 1), -1))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(g, (cout, 1, 1)).reshape(cout))
 
-    return _node(out, (x, w, b), bwd)
+    return _node(out, (vx, vw, vb), bwd)
 
 
 def maxpool2d(x: Tensor, window: tuple[int, int] = (1, 2)) -> Tensor:

@@ -418,6 +418,18 @@ class TestSyntheticDataset:
         dists = ((flat[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         assert np.array_equal(dists.argmin(axis=1), labels)
 
+    def test_split_no_manifest_line_holds_creates_nothing(self, tmp_path):
+        # the manifest is checked before any sample file or directory is made
+        out = tmp_path / "f1"
+        message = re.escape(f"{out / 'v#1.manifest'}: a manifest line cannot hold 'split'")
+        with pytest.raises(ValidationError, match=message):
+            make_synthetic_dataset(str(out), 1, 2, frames=4, joints=2, split="v#1")
+        assert not out.exists()
+        out.mkdir()
+        with pytest.raises(ValidationError, match=message):
+            make_synthetic_dataset(str(out), 1, 2, frames=4, joints=2, split="v#1")
+        assert list(out.iterdir()) == []
+
     def test_prefix_sum_reconstruction_exact_on_generated_data(self, tmp_path):
         manifest = make_synthetic_dataset(str(tmp_path), num_labels=2,
                                           samples_per_label=2, frames=16,

@@ -225,16 +225,16 @@ class TestTrainingBehaviour:
 
     @pytest.mark.parametrize("encoder", ["ff", "cnn"])
     def test_backward_frees_the_graph_it_walks(self, encoder):
-        # after backward no interior node holds parents, a rule or a grad, and
-        # every array a rule saved (padded inputs, dropout masks, normalized
-        # rows) is freed, while the forward output and the loss are still held
+        # after backward no vertex holds parents, a rule or a grad, and every
+        # array a rule saved (padded inputs, dropout masks, normalized rows)
+        # is freed, while the forward output and the loss are still held
         rng = np.random.default_rng(12)
         config = _config("v3", encoder)
         model = TsSan(build_variant(config, rng), TsnConfig(segments=2, frames_per_segment=4))
         model.train()
         out = model.forward_batch(_clips(rng, config, batch=3), rng=np.random.default_rng(13))
         loss = ts_loss(out, [1, 3, 0])
-        interior, held, stack = {}, {}, [loss, out.log_probs]
+        interior, held, stack = {}, {}, [loss._vertex, out.log_probs._vertex]
         while stack:
             node = stack.pop()
             if id(node) not in held:
@@ -242,7 +242,9 @@ class TestTrainingBehaviour:
                 stack.extend(node._parents)
                 if node._backward is not None:
                     interior[id(node)] = node
-        data = {id(node.data) for node in held.values()}
+        # the leaves' weights and what the test holds stay alive
+        kept = [loss, out.log_probs, *out.head_log_probs.values()]
+        data = {id(t.data) for t in kept + [n for n in held.values() if isinstance(n, Tensor)]}
         saved, cells = [], [c for node in interior.values() for c in node._backward.__closure__]
         while cells:
             value = cells.pop().cell_contents
@@ -259,6 +261,28 @@ class TestTrainingBehaviour:
         for node in interior.values():
             assert node._parents == () and node._backward is T._spent and node.grad is None
         assert [ref for ref in saved if ref() is not None] == []
+
+    def test_forward_keeps_no_conv2d_output(self, monkeypatch):
+        # each conv2d output feeds only a relu, whose rule keeps its own
+        # output, so the graph holds none of them once the forward returns
+        outputs, conv2d = [], T.conv2d
+
+        def recording(*args):
+            out = conv2d(*args)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "conv2d", recording)
+        rng = np.random.default_rng(12)
+        config = _config("v3", "cnn")
+        model = TsSan(build_variant(config, rng), TsnConfig(segments=2, frames_per_segment=4))
+        model.train()
+        out = model.forward_batch(_clips(rng, config, batch=3), rng=np.random.default_rng(13))
+        loss = ts_loss(out, [1, 3, 0])
+        assert len(outputs) == 2 * 4    # branches x conv layers, segments batched
+        assert [ref for ref in outputs if ref() is not None] == []
+        backward(loss)
+        assert all(p.grad is not None for _, p in model.named_parameters())
 
     def test_v2_parameter_gradients_match_fd(self):
         rng = np.random.default_rng(1)

@@ -41,7 +41,8 @@ def _clips(dtype, seed=0, lengths=(8, 11, 9)):
 
 
 def _graph(*roots):
-    """Every tensor reachable from ``roots`` through the recorded parents."""
+    """Every vertex reachable from ``roots`` through the recorded parents,
+    the leaves that need a gradient included."""
     seen, stack = {}, list(roots)
     while stack:
         node = stack.pop()
@@ -51,18 +52,29 @@ def _graph(*roots):
     return list(seen.values())
 
 
+def _describe(node):
+    return node.shape if isinstance(node, T.Tensor) else node._backward.__qualname__
+
+
 @pytest.mark.parametrize("variant", ["v1", "v2", "v3"])
 @pytest.mark.parametrize("encoder", ["ff", "cnn"])
 @pytest.mark.parametrize("consensus", ["avg", "max"])
 def test_float32_input_computes_in_float32_over_float64_masters(variant, encoder,
-                                                                 consensus):
+                                                                 consensus, monkeypatch):
+    # each vertex holds its op's output dtype; the operands that need no
+    # gradient are not vertices, so every tensor an op takes is recorded too
+    operands, as_tensor = [], T.as_tensor
+    monkeypatch.setattr(T, "as_tensor", lambda x: operands.append(as_tensor(x)) or operands[-1])
     model = _model(variant, encoder, consensus)
     out = model.forward_batch(_clips(np.float32), np.random.default_rng(2))
     loss = ts_loss(out, [1, 3, 0])
+    monkeypatch.undo()
     params = dict(model.named_parameters())
     master_ids = {id(p) for p in params.values()}
-    upcast = [(node.shape, node.data.dtype) for node in _graph(loss, out.log_probs)
-              if id(node) not in master_ids and node.data.dtype != np.float32]
+    nodes = _graph(loss._vertex, out.log_probs._vertex)
+    assert sum(not isinstance(node, T.Tensor) for node in nodes) >= 20
+    upcast = [(_describe(node), node.dtype) for node in nodes + operands
+              if id(node) not in master_ids and node.dtype != np.float32]
     assert upcast == []
     T.backward(loss)
     for name, p in params.items():

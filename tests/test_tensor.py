@@ -614,6 +614,25 @@ class TestBackward:
             out._backward(g)
             assert t.grad.dtype == dtype and t.grad.tobytes() == (g * (x > 0)).tobytes()
 
+    def test_backward_calls_the_rule_set_on_a_result(self):
+        # bench/tracer.py times each rule by setting a wrapper as the op
+        # result's _backward; the walk calls the rule held when it gets there
+        x = Tensor(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+        y = T.relu(x)
+        loss = T.tsum(y * 2.0)
+        rule, seen = y._backward, []
+
+        def wrapper(g):
+            seen.append(g.copy())
+            rule(g)
+
+        y._backward = wrapper
+        assert y._backward is wrapper
+        backward(loss)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.full(3, 2.0))
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0, 2.0])
+
     def test_second_backward_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         loss = T.tsum(T.relu(x) * 2.0)
