@@ -8,6 +8,7 @@ Run:  python3 demos/synthetic_data_tour.py
 """
 
 import tempfile
+from contextlib import closing
 
 import numpy as np
 
@@ -18,7 +19,8 @@ with tempfile.TemporaryDirectory() as workdir:
     manifest = make_synthetic_dataset(workdir, num_labels=3, samples_per_label=4,
                                       frames=48, joints=5, persons=2, coords=3,
                                       noise=0.05, seed=7)
-    samples = load_samples(manifest)
+    with closing(load_samples(manifest)) as split:    # the clips, read from the pack
+        samples = list(split)
     print(f"dataset: {len(samples)} samples, {manifest.num_labels} classes")
 
     clip = samples[0].clip
@@ -33,14 +35,15 @@ with tempfile.TemporaryDirectory() as workdir:
     # dyadic-grid coordinates make the reconstruction exact, not just close
     recon = clip.positions[0].copy()
     exact = True
-    for t in range(1, clip.frames):
+    frames = clip.positions.shape[0]
+    for t in range(1, frames):
         recon = recon + motion[t - 1]
         exact &= np.array_equal(recon, clip.positions[t])
     print(f"prefix-sum reconstructs positions exactly: {exact}")
 
     config = TsnConfig(segments=3, frames_per_segment=32)
-    spans = segment_spans(clip.frames, config.segments)
-    print(f"\ntemporal segments of a {clip.frames}-frame clip: {spans}")
+    spans = segment_spans(frames, config.segments)
+    print(f"\ntemporal segments of a {frames}-frame clip: {spans}")
 
     # each segment is cropped (random in training, centered in eval) and
     # resampled to a fixed length; rows are segment-major over the batch

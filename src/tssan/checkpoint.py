@@ -11,9 +11,10 @@ index order.
 
 Both directions stream.  A save writes the header, whose offsets follow
 from the shapes, then each array in turn, so it never holds a second copy
-of the payload.  A load reads the header, checks the index against the
-file size, and reads each array straight into its own buffer while it
-updates the checksum, so it holds about the file's size and no more.
+of the payload.  A load reads the header and checks the index against the
+file size (:func:`read_header`, which the sample-pack reader shares), and
+reads each array straight into its own buffer while it updates the
+checksum, so it holds about the file's size and no more.
 Loads are all-or-nothing: a bad magic, header, index, size or checksum
 raises a :class:`CheckpointError` before anything is handed out.
 Version-1 files, written before the checksum, have no trailer and still
@@ -94,14 +95,28 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict):
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (meta, arrays); raises CheckpointError without partial state."""
+    arrays: dict[str, np.ndarray] = {}
     try:
         with open(path, "rb") as fh:
-            return _load(path, fh, os.fstat(fh.fileno()).st_size)
+            version, meta, index, _, crc = read_header(path, fh)
+            for name, shape, _, nbytes in index:
+                arr = np.empty(shape, dtype="<f8")
+                buf = arr.reshape(-1).view(np.uint8)
+                if fh.readinto(buf) != nbytes:
+                    raise CheckpointError(f"{path}: truncated payload at {name}")
+                crc = zlib.crc32(buf, crc)
+                arrays[name] = arr.astype(np.float64, copy=False)
+            check_trailer(path, fh, version, crc)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    return meta, arrays
 
 
-def _load(path: str, fh, size: int) -> tuple[dict, dict[str, np.ndarray]]:
+def read_header(path: str, fh) -> tuple[int, dict, list, int, int]:
+    """The version, meta and index (name, shape, offset, nbytes) of the file
+    ``fh``, checked; its payload's start, where ``fh`` is left, and the
+    checksum of what precedes it."""
+    size = os.fstat(fh.fileno()).st_size
     prefix = fh.read(len(MAGIC) + 8)
     if len(prefix) < len(MAGIC) + 8 or prefix[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -141,15 +156,10 @@ def _load(path: str, fh, size: int) -> tuple[dict, dict[str, np.ndarray]]:
     if payload > end:
         raise CheckpointError(f"{path}: {payload - end} trailing bytes "
                               f"after the last array")
-    crc = zlib.crc32(raw, zlib.crc32(prefix))
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape, _, nbytes in index:
-        arr = np.empty(shape, dtype="<f8")
-        buf = arr.reshape(-1).view(np.uint8)
-        if fh.readinto(buf) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        crc = zlib.crc32(buf, crc)
-        arrays[name] = arr.astype(np.float64, copy=False)
+    return version, meta, index, header_end, zlib.crc32(raw, zlib.crc32(prefix))
+
+
+def check_trailer(path: str, fh, version: int, crc: int):
+    """Compare ``crc``, of every byte read from ``fh``, with its trailer."""
     if version == VERSION and fh.read(_CRC.size) != _CRC.pack(crc):
         raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
-    return meta, arrays

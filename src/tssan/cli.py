@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
 import sys
 from collections import Counter
@@ -22,14 +23,14 @@ from functools import partial
 
 import numpy as np
 
-from .data import (SampleFormatError, ValidationError, index_split, load_manifest,
-                   load_sample, load_samples, make_synthetic_dataset, split_files,
-                   DATASET_KINDS)
+from .data import (PackedSplit, SampleFormatError, ValidationError, index_split,
+                   load_manifest, load_sample, load_samples, make_synthetic_dataset,
+                   split_files, DATASET_KINDS)
 from .models import ENCODERS, VARIANTS, ModelConfig
 from .segments import CONSENSUS_MODES, TsnConfig
 from .tensor import no_grad
-from .training import (NumericDivergenceError, TrainConfig, evaluate,
-                       load_model_from_checkpoint, prepare_samples, run_training)
+from .training import (NumericDivergenceError, PreparedSplit, TrainConfig, evaluate,
+                       load_model_from_checkpoint, run_training)
 from .checkpoint import CheckpointError
 
 
@@ -128,7 +129,8 @@ def _add_prepare(sub):
 
 def _add_index(sub):
     p = sub.add_parser("index", help="build a manifest and pack from a directory of "
-                                     "sample files")
+                                     "sample files; train and eval read the pack alone, "
+                                     "so run index again after editing a sample file")
     p.add_argument("--input", required=True, help="directory of sample .txt files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kind", choices=sorted(DATASET_KINDS), default="synthetic",
@@ -182,7 +184,9 @@ def cmd_index(args) -> int:
 
 def _add_train(sub):
     p = sub.add_parser("train", help="train a model and write checkpoints + metrics")
-    p.add_argument("--data", required=True, help="training manifest")
+    p.add_argument("--data", required=True,
+                   help="training manifest; its clips are read from the split's pack, "
+                        "a snapshot of the sample files as index last read them")
     p.add_argument("--val", help="validation manifest (defaults to the training split)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="INI config file")
@@ -203,7 +207,7 @@ def _add_train(sub):
     p.set_defaults(func=cmd_train)
 
 
-def build_run_config(args, manifest, first_clip):
+def build_run_config(args, manifest, first_shape):
     """Merge defaults <- config file <- flags into the three config objects.
 
     A flag is the ``args`` attribute named after a section field."""
@@ -224,29 +228,30 @@ def build_run_config(args, manifest, first_clip):
     try:
         tsn = TsnConfig(**sections["tsn"])
         model = ModelConfig(
-            num_labels=manifest.num_labels, joints=first_clip.joints,
-            coords=first_clip.coords, persons=first_clip.persons,
-            frames=tsn.frames_per_segment, **sections["model"])
+            num_labels=manifest.num_labels, persons=first_shape[1], joints=first_shape[2],
+            coords=first_shape[3], frames=tsn.frames_per_segment, **sections["model"])
         train = TrainConfig(**sections["train"])
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
     return model, tsn, train
 
 
-def _prepare_split(paths, samples, model: ModelConfig, segments: int):
-    """prepare_samples, refusing clips the model cannot take: another
-    (persons, joints, coords) geometry, or too few frames for ``segments``."""
+def _refuse_clip(path: str, shape, model: ModelConfig, segments: int):
+    """Refuse a clip (F, S, J, C) of another geometry or of too few frames."""
+    frames, *geometry = shape
     expected = (model.persons, model.joints, model.coords)
-    for path, sample in zip(paths, samples):
-        clip = sample.clip
-        geometry = (clip.persons, clip.joints, clip.coords)
-        if geometry != expected:
-            raise CliError(f"{path}: clip geometry (persons, joints, coords) {geometry} "
-                           f"does not match the model's {expected}")
-        if clip.frames < segments:
-            raise CliError(f"{path}: {clip.frames} frames cannot be split into "
-                           f"{segments} segments")
-    return prepare_samples(samples)
+    if tuple(geometry) != expected:
+        raise CliError(f"{path}: clip geometry (persons, joints, coords) {tuple(geometry)} "
+                       f"does not match the model's {expected}")
+    if frames < segments:
+        raise CliError(f"{path}: {frames} frames cannot be split into {segments} segments")
+
+
+def prepare_samples(split: PackedSplit, model: ModelConfig, segments: int) -> PreparedSplit:
+    """The split as model input, read as used, once its index fits the model."""
+    for path, shape in zip(split.manifest.sample_paths(), split.shapes.tolist()):
+        _refuse_clip(path, shape, model, segments)
+    return PreparedSplit(split)
 
 
 # what a run writes into --out
@@ -265,23 +270,24 @@ def cmd_train(args) -> int:
                        f"a resume writes into the directory of its checkpoint or into "
                        f"one that holds no run")
     manifest = load_manifest(args.data)
-    raw = load_samples(manifest)
-    model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, raw[0].clip)
-    samples = _prepare_split(manifest.sample_paths(), raw, model_cfg, tsn_cfg.segments)
-    val = None
-    if args.val:
-        val_manifest = load_manifest(args.val)
-        if val_manifest.num_labels != manifest.num_labels:
-            raise CliError("train/val manifests disagree on num_labels")
-        val = _prepare_split(val_manifest.sample_paths(), load_samples(val_manifest),
-                             model_cfg, tsn_cfg.segments)
+    with contextlib.ExitStack() as stack:     # the packs stay open until the run ends
+        raw = stack.enter_context(contextlib.closing(load_samples(manifest)))
+        model_cfg, tsn_cfg, train_cfg = build_run_config(args, manifest, raw.shapes[0].tolist())
+        samples = prepare_samples(raw, model_cfg, tsn_cfg.segments)
+        val = None
+        if args.val:
+            val_manifest = load_manifest(args.val)
+            if val_manifest.num_labels != manifest.num_labels:
+                raise CliError("train/val manifests disagree on num_labels")
+            val = prepare_samples(stack.enter_context(contextlib.closing(
+                load_samples(val_manifest))), model_cfg, tsn_cfg.segments)
 
-    # the echo is written only once a resume checkpoint has been accepted
-    echo = partial(write_config_echo, os.path.join(args.out, "config.ini"),
-                   model_cfg, tsn_cfg, train_cfg)
-    run = run_training(model_cfg, tsn_cfg, train_cfg, samples, val,
-                       out_dir=args.out, resume_from=args.resume,
-                       quiet=args.quiet, on_start=echo)
+        # the echo is written only once a resume checkpoint has been accepted
+        echo = partial(write_config_echo, os.path.join(args.out, "config.ini"),
+                       model_cfg, tsn_cfg, train_cfg)
+        run = run_training(model_cfg, tsn_cfg, train_cfg, samples, val,
+                           out_dir=args.out, resume_from=args.resume,
+                           quiet=args.quiet, on_start=echo)
     # none when a resume into a new --out never beats the stored best
     print(f"best top1={run.best_top1!r} checkpoint={run.best_path or 'none'}")
     return 0
@@ -303,9 +309,9 @@ def cmd_eval(args) -> int:
     if manifest.num_labels != model.variant.config.num_labels:
         raise CliError(f"checkpoint expects {model.variant.config.num_labels} labels, "
                        f"manifest has {manifest.num_labels}")
-    samples = _prepare_split(manifest.sample_paths(), load_samples(manifest),
-                             model.variant.config, model.config.segments)
-    top1, top5 = evaluate(model, samples)
+    with contextlib.closing(load_samples(manifest)) as split:
+        top1, top5 = evaluate(model, prepare_samples(split, model.variant.config,
+                                                     model.config.segments))
     print(f"top1={top1!r} top5={top5!r}")
     return 0
 
@@ -343,8 +349,9 @@ def write_matrix_csv(path: str, matrix: np.ndarray):
 
 def cmd_export_attention(args) -> int:
     model = load_model_from_checkpoint(args.checkpoint)[0].eval().narrow()
-    (sample,) = _prepare_split([args.sample], [load_sample(args.sample)],
-                               model.variant.config, model.config.segments)
+    (sample,) = PreparedSplit([load_sample(args.sample)])
+    _refuse_clip(args.sample, sample.positions.shape, model.variant.config,
+                 model.config.segments)
     with no_grad():
         out = model.forward_batch([(sample.positions, sample.motions)])
 

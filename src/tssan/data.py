@@ -8,27 +8,28 @@ slots stay at zero; ``segments.sample_segments`` applies them per segment.
 
 Text sample files are the interchange format.  They are parsed in one
 walk over their rows, in file order, which names the first bad line
-(:func:`_parse_sample`).  A split is a ``<split>.manifest`` and a
+(:func:`load_sample`).  A split is a ``<split>.manifest`` and a
 ``<split>.pack`` next to it, and :func:`write_split` alone writes them,
 for ``prepare`` and ``index`` both.  The pack is a checkpoint container
-(``checkpoint.py``) that maps the SHA-256 of each sample file's bytes to
-the float64 positions and the header label that parsing those bytes
-gives.  :func:`load_samples` reads and hashes each listed file and takes
-its clip from the pack when the digest is there; it parses the text of a
-file whose digest is missing, and of every file when the pack is absent
-or unreadable.  A parsed clip is a pure function of the file's bytes,
-so a pack can only be missing entries, never stale.
+(``checkpoint.py``) that holds, under each manifest entry's name and in
+manifest order, the float64 positions of its clip, with the labels in
+its meta.  :func:`load_samples` opens a split from its manifest and pack
+alone, and reads no sample file: the split is a snapshot of the sample
+files as ``index`` (or ``prepare``) read them, so an edited file takes
+effect only once ``index`` runs again.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import os
+import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_trailer, read_header, save_checkpoint
 
 DATASET_KINDS = {
     "ntu": (25, 3),        # 3-D joint positions
@@ -65,22 +66,6 @@ class SkeletonClip:
             raise ValueError("valid_person_mask must have one entry per person slot")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
-
-    @property
-    def frames(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def persons(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def joints(self) -> int:
-        return self.positions.shape[2]
-
-    @property
-    def coords(self) -> int:
-        return self.positions.shape[3]
 
 
 @dataclass
@@ -165,9 +150,8 @@ def center_crop_window(frames: int, ratio: float = 0.9) -> slice:
 # ---------------------------------------------------------------------------
 # sample and manifest files
 
-def save_sample(path: str, clip: SkeletonClip, label: int) -> str:
-    """Write one labelled clip as a sample text file; return the SHA-256
-    hex digest of the bytes written, the clip's key in a pack.
+def save_sample(path: str, clip: SkeletonClip, label: int):
+    """Write one labelled clip as a sample text file.
 
     Format (UTF-8 text, LF, CRLF or CR line ends): a header line
     ``F S J C label`` of five integers, then F*S*J data rows of C reals
@@ -190,12 +174,6 @@ def save_sample(path: str, clip: SkeletonClip, label: int) -> str:
             + row * (frames * persons * joints) % tuple(values)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
-    return _sample_digest(data)
-
-
-def _sample_digest(data: bytes) -> str:
-    """The pack key of a sample file's bytes: their SHA-256 in hex."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def _data_lines(lines):
@@ -222,19 +200,7 @@ def _decode(path: str, data: bytes) -> str:
 
 
 def load_sample(path: str) -> LabeledSample:
-    """Read a sample file (format: :func:`save_sample`) into a labelled clip."""
-    return _parse_sample(path, _read_bytes(path))
-
-
-def read_sample(path: str) -> tuple[LabeledSample, str]:
-    """:func:`load_sample` and the digest of the bytes it parsed, the
-    clip's key in a pack."""
-    data = _read_bytes(path)
-    return _parse_sample(path, data), _sample_digest(data)
-
-
-def _parse_sample(path: str, data: bytes) -> LabeledSample:
-    """The labelled clip of the sample file ``path`` whose bytes are ``data``.
+    """Read a sample file (format: :func:`save_sample`) into a labelled clip.
 
     One walk over the rows that :func:`_data_lines` yields: the first is
     the header, and each later row is checked in file order for its
@@ -245,7 +211,7 @@ def _parse_sample(path: str, data: bytes) -> LabeledSample:
     """
     # lines end at "\n" only, as in file iteration: other str.split()
     # whitespace such as "\x0c" or "\x1c" separates values within a line
-    rows = list(_data_lines(_decode(path, data).split("\n")))
+    rows = list(_data_lines(_decode(path, _read_bytes(path)).split("\n")))
     if not rows:
         raise SampleFormatError(f"{path}:1: empty sample file")
     (lineno, header), rows = rows[0], rows[1:]
@@ -320,25 +286,21 @@ def load_manifest(path: str) -> DatasetManifest:
         num_labels = int(header["num_labels"])
     except ValueError:
         raise SampleFormatError(f"{path}: num_labels must be an integer") from None
-    manifest = DatasetManifest(kind=kind, num_labels=num_labels, split=header["split"],
-                               entries=entries, base_dir=os.path.dirname(path) or ".")
-    for rel, _ in entries:
-        full = os.path.join(manifest.base_dir, rel)
-        if not os.path.exists(full):
-            raise ValidationError(f"{path}: referenced sample missing: {rel}")
-    return manifest
+    return DatasetManifest(kind=kind, num_labels=num_labels, split=header["split"],
+                           entries=entries, base_dir=os.path.dirname(path) or ".")
 
 
-def validate_sample(manifest: DatasetManifest, rel: str, label: int,
-                    sample: LabeledSample):
-    """Check one loaded manifest entry against the manifest's contract."""
+def _check_entry(manifest: DatasetManifest, rel: str, label: int, shape):
+    """Check one entry's label and clip shape against the manifest: an
+    (F, S, J, C) clip of F >= 2 frames, no extent 0, of the kind's geometry."""
     geometry = DATASET_KINDS[manifest.kind]
-    if sample.label != label:
-        raise ValidationError(f"{rel}: label {sample.label} disagrees with manifest {label}")
     if not 0 <= label < manifest.num_labels:
         raise ValidationError(f"{rel}: label {label} outside [0, {manifest.num_labels})")
-    if geometry is not None and (sample.clip.joints, sample.clip.coords) != geometry:
-        raise ValidationError(f"{rel}: geometry {(sample.clip.joints, sample.clip.coords)} "
+    if len(shape) != 4 or min(shape) < 1 or shape[0] < 2:
+        raise ValidationError(f"{rel}: not an (F, S, J, C) clip of 2 or more frames: "
+                              f"shape {list(shape)}")
+    if geometry is not None and tuple(shape[2:]) != geometry:
+        raise ValidationError(f"{rel}: geometry {tuple(shape[2:])} "
                               f"does not match kind {manifest.kind!r} {geometry}")
 
 
@@ -365,16 +327,17 @@ def _manifest_bytes(manifest: DatasetManifest) -> bytes:
     return data
 
 
-def write_split(manifest: DatasetManifest, pack: dict[str, tuple[np.ndarray, int]]):
-    """Write a split into ``manifest.base_dir``: its pack (digest ->
-    (positions, label), as :func:`_load_pack` reads it), then its manifest.
-    Nothing is written, the directory included, unless the manifest passes
-    :func:`_manifest_bytes`."""
+def write_split(manifest: DatasetManifest, clips: list[np.ndarray]):
+    """Write a split into ``manifest.base_dir``: its pack (entry ``i``'s
+    positions ``clips[i]`` under its name, and the labels in the meta),
+    then its manifest.  Nothing is written, the directory included, unless
+    the manifest passes :func:`_manifest_bytes`."""
     data = _manifest_bytes(manifest)
     path, pack_file = split_files(manifest)
     os.makedirs(manifest.base_dir, exist_ok=True)
-    save_checkpoint(pack_file, {digest: positions for digest, (positions, _) in pack.items()},
-                    {"labels": {digest: label for digest, (_, label) in pack.items()}})
+    save_checkpoint(pack_file, {rel: positions for (rel, _), positions
+                                in zip(manifest.entries, clips, strict=True)},
+                    {"labels": [label for _, label in manifest.entries]})
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -382,57 +345,72 @@ def write_split(manifest: DatasetManifest, pack: dict[str, tuple[np.ndarray, int
 def index_split(paths: list[str], out_dir: str, kind: str,
                 num_labels: int | None = None) -> DatasetManifest:
     """Write the train split of ``out_dir`` that lists the sample files
-    ``paths`` relative to it, each read once and validated before anything
+    ``paths`` relative to it, each read once and checked before anything
     is written; ``num_labels`` defaults to the largest label + 1."""
-    samples, digests = zip(*map(read_sample, paths))
+    samples = [load_sample(path) for path in paths]
     manifest = DatasetManifest(kind, num_labels or max(s.label for s in samples) + 1, "train",
                                [(os.path.relpath(path, out_dir), sample.label)
                                 for path, sample in zip(paths, samples)], out_dir)
     for (rel, label), sample in zip(manifest.entries, samples):
-        validate_sample(manifest, rel, label, sample)
-    write_split(manifest, {digest: (sample.clip.positions, sample.label)
-                           for digest, sample in zip(digests, samples)})
+        _check_entry(manifest, rel, label, sample.clip.positions.shape)
+    write_split(manifest, [sample.clip.positions for sample in samples])
     return manifest
 
 
-def _load_pack(path: str) -> dict[str, tuple[np.ndarray, int]]:
-    """digest -> (positions, label) of a pack; empty when it is absent or unreadable.
+class PackedSplit(Sequence):
+    """A split's labelled clips, item ``i`` (an ``int``) read from the pack
+    into a fresh array when accessed; :func:`load_samples` opens it."""
 
-    An entry that no sample file could parse to (not a finite (F, S, J, C)
-    array with every extent >= 1 and F >= 2, or a label that is not an
-    integer >= 0) is dropped, so its file is parsed and refused or accepted
-    as the text says.
-    """
+    def __init__(self, manifest: DatasetManifest, fh, offsets: np.ndarray, shapes: np.ndarray):
+        self.manifest, self.shapes = manifest, shapes   # shapes: (F, S, J, C) per entry
+        self._fh, self._offsets = fh, offsets           # the pack; where each clip starts
+
+    def __len__(self) -> int:
+        return len(self.manifest)
+
+    def __getitem__(self, i) -> LabeledSample:
+        rel, label = self.manifest.entries[i]
+        positions = np.empty(self.shapes[i].tolist(), dtype="<f8")
+        buf = positions.reshape(-1).view(np.uint8)
+        if os.preadv(self._fh.fileno(), [buf], int(self._offsets[i])) != buf.nbytes:
+            raise CheckpointError(f"{self._fh.name}: truncated payload at {rel}")
+        return _labeled(os.path.join(self.manifest.base_dir, rel), positions, label)
+
+    def close(self):
+        self._fh.close()
+
+
+def load_samples(manifest: DatasetManifest) -> PackedSplit:
+    """Open a split from its manifest and pack alone, checked once: the pack
+    holds the manifest's entries in order, with its labels, each meeting
+    :func:`_check_entry`; one pass, a clip at a time into one buffer, checks
+    the checksum and that every value is finite.  Else a
+    :class:`ValidationError` names the split and says to run ``index`` again."""
+    pack = split_files(manifest)[1]
     try:
-        meta, arrays = load_checkpoint(path)
-    except CheckpointError:
-        return {}
-    labels = meta.get("labels")
-    if not isinstance(labels, dict):
-        return {}
-    return {digest: (positions, label) for digest, positions in arrays.items()
-            if type(label := labels.get(digest)) is int and label >= 0
-            and positions.ndim == 4 and min(positions.shape) >= 1
-            and positions.shape[0] >= 2 and np.isfinite(positions).all()}
-
-
-def load_samples(manifest: DatasetManifest) -> list[LabeledSample]:
-    """Load and validate every sample against the manifest's contract.
-
-    Each file is read once and hashed; its clip comes from the split's
-    pack when the digest is there, and from parsing those bytes otherwise.
-    """
-    pack = _load_pack(split_files(manifest)[1])
-    samples = []
-    for rel, label in manifest.entries:
-        path = os.path.join(manifest.base_dir, rel)
-        data = _read_bytes(path)
-        # popped, so two files of the same bytes never share one array
-        packed = pack.pop(_sample_digest(data), None) if pack else None
-        sample = _parse_sample(path, data) if packed is None else _labeled(path, *packed)
-        validate_sample(manifest, rel, label, sample)
-        samples.append(sample)
-    return samples
+        with contextlib.ExitStack() as stack:
+            fh = stack.enter_context(open(pack, "rb"))
+            version, meta, index, start, crc = read_header(pack, fh)
+            if ([name for name, *_ in index] != [rel for rel, _ in manifest.entries]
+                    or meta.get("labels") != [label for _, label in manifest.entries]):
+                raise CheckpointError(f"{pack}: its entries or labels are not the manifest's")
+            for (rel, label), (_, shape, _, _) in zip(manifest.entries, index):
+                _check_entry(manifest, rel, label, shape)
+            buf = np.empty(max((e[3] for e in index), default=0) // 8, dtype="<f8")
+            for name, _, _, nbytes in index:
+                values = buf[:nbytes // 8]
+                if fh.readinto(values.view(np.uint8)) != nbytes:
+                    raise CheckpointError(f"{pack}: truncated payload at {name}")
+                crc = zlib.crc32(values, crc)
+                if not np.isfinite(values).all():
+                    raise CheckpointError(f"{pack}: {name} holds non-finite values")
+            check_trailer(pack, fh, version, crc)
+            stack.pop_all()
+        return PackedSplit(manifest, fh, np.array([start + e[2] for e in index], np.int64),
+                           np.array([e[1] for e in index], np.int64).reshape(-1, 4))
+    except (OSError, CheckpointError, ValidationError) as exc:
+        raise ValidationError(f"split {manifest.split!r}: {exc}; run `tssan index` "
+                              f"(or `prepare`) again to rebuild it") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +463,7 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
     _manifest_bytes(manifest)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    pack = {}
+    clips = []
     for n, (rel, label) in enumerate(manifest.entries):
         if n % samples_per_label == 0:
             proto = _class_prototype(label, joints, persons, coords, frames)
@@ -495,7 +473,7 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
         positions = proto * jitter + drift + wobble
         positions = np.round(positions * _GRID) / _GRID
         clip = SkeletonClip(positions, np.ones(persons, dtype=bool))
-        digest = save_sample(os.path.join(out_dir, rel), clip, label)
-        pack[digest] = clip.positions, label
-    write_split(manifest, pack)
+        save_sample(os.path.join(out_dir, rel), clip, label)
+        clips.append(clip.positions)
+    write_split(manifest, clips)
     return manifest

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
@@ -91,6 +91,19 @@ def prepare_samples(samples: list[LabeledSample]) -> list[PreparedSample]:
             for s in samples]
 
 
+class PreparedSplit(Sequence):
+    """``samples`` as model input, item ``i`` prepared each time it is read."""
+
+    def __init__(self, samples: Sequence[LabeledSample]):
+        self.samples = samples
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, i) -> PreparedSample:
+        return prepare_samples([self.samples[i]])[0]
+
+
 def _batches(count: int, batch_size: int, order: np.ndarray):
     """Final short batch is kept unless it degenerates to a single sample
     after batches of more."""
@@ -101,7 +114,7 @@ def _batches(count: int, batch_size: int, order: np.ndarray):
         yield chunk
 
 
-def train_epoch(model: TsSan, samples: list[PreparedSample], optimizer: Adam,
+def train_epoch(model: TsSan, samples: Sequence[PreparedSample], optimizer: Adam,
                 rng: np.random.Generator, batch_size: int, epoch: int = 0) -> float:
     """One pass of shuffled mini-batches; returns the mean sample loss."""
     if not samples:
@@ -136,7 +149,7 @@ def topk_hits(probabilities: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int((ranked == labels[:, None]).any(axis=1).sum())
 
 
-def evaluate(model: TsSan, samples: list[PreparedSample],
+def evaluate(model: TsSan, samples: Sequence[PreparedSample],
              batch_size: int = 64) -> tuple[float, float]:
     """Top-1 / top-5 accuracy of the fused predictions in eval mode, on the
     model narrowed to float32 weights (:meth:`nn.Module.narrow`)."""
@@ -146,7 +159,7 @@ def evaluate(model: TsSan, samples: list[PreparedSample],
     hits1 = hits5 = 0
     with no_grad():
         for start in range(0, len(samples), batch_size):
-            batch = samples[start:start + batch_size]
+            batch = [samples[i] for i in range(start, min(start + batch_size, len(samples)))]
             out = model.forward_batch([(s.positions, s.motions) for s in batch])
             probs = out.probabilities
             labels = np.array([s.label for s in batch])
@@ -261,8 +274,8 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
 
 
 def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
-                 train_config: TrainConfig, train_samples: list[PreparedSample],
-                 val_samples: list[PreparedSample] | None = None, *, out_dir: str,
+                 train_config: TrainConfig, train_samples: Sequence[PreparedSample],
+                 val_samples: Sequence[PreparedSample] | None = None, *, out_dir: str,
                  resume_from: str | None = None, quiet: bool = True,
                  on_start: Callable[[], None] | None = None) -> TrainingRun:
     """Train to ``epochs``, with ``metrics.log``, ``best.ckpt`` and

@@ -1,12 +1,13 @@
 import builtins
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from tssan.checkpoint import load_checkpoint, save_checkpoint
 from tssan.cli import main
-from tssan.data import SkeletonClip, load_manifest, read_sample, save_sample
+from tssan.data import SkeletonClip, load_manifest, load_sample, save_sample
 
 
 def run_cli(*argv):
@@ -85,14 +86,15 @@ class TestPrepare:
 
     def test_prepare_writes_a_pack_per_manifest(self, tmp_path, synthetic_dir):
         def packed(folder, split):
+            # the pack holds each manifest entry's clip under its name, in order
             manifest = load_manifest(str(folder / f"{split}.manifest"))
             meta, arrays = load_checkpoint(str(folder / f"{split}.pack"))
-            want = {}
-            for path in manifest.sample_paths():
-                sample, digest = read_sample(path)
-                want[digest] = (sample.label, sample.clip.positions.tobytes())
-            assert {d: (meta["labels"][d], a.tobytes()) for d, a in arrays.items()} == want
-            return len(want)
+            samples = [load_sample(path) for path in manifest.sample_paths()]
+            assert list(arrays) == [rel for rel, _ in manifest.entries]
+            assert meta["labels"] == [sample.label for sample in samples]
+            assert [a.tobytes() for a in arrays.values()] == \
+                [sample.clip.positions.tobytes() for sample in samples]
+            return len(arrays)
 
         assert packed(synthetic_dir, "train") == 12 and packed(synthetic_dir, "val") == 6
         out = tmp_path / "indexed"
@@ -432,29 +434,86 @@ class TestTrainEval:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    def test_same_run_without_the_packs(self, tmp_path, synthetic_dir, capsys):
+    def test_same_run_without_the_sample_files(self, tmp_path, synthetic_dir, capsys):
+        # train and eval read a split from its manifest and pack alone, and
+        # close each pack themselves: no file is left for the collector
         def run(name):
             out = tmp_path / name
-            code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
-                           "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
-                           "--config", str(_narrow_config(tmp_path)),
-                           "--variant", "v3", "--encoder", "ff", "--segments", "2",
-                           "--frames-per-segment", "4", "--san-layers", "1",
-                           "--san-heads", "2", "--epochs", "2", "--batch-size", "4",
-                           "--seed", "3", "--quiet")
-            assert code == 0
-            capsys.readouterr()
-            assert run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
-                           "--data", str(synthetic_dir / "val.manifest")) == 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                               "--val", str(synthetic_dir / "val.manifest"),
+                               "--out", str(out), "--config", str(_narrow_config(tmp_path)),
+                               "--variant", "v3", "--encoder", "ff", "--segments", "2",
+                               "--frames-per-segment", "4", "--san-layers", "1",
+                               "--san-heads", "2", "--epochs", "2", "--batch-size", "4",
+                               "--seed", "3", "--quiet")
+                assert code == 0
+                capsys.readouterr()
+                assert run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                               "--data", str(synthetic_dir / "val.manifest")) == 0
+            assert [w.message for w in caught if w.category is ResourceWarning] == []
             log = [line.split(" seconds=")[0]
                    for line in (out / "metrics.log").read_text().splitlines()]
             return log, capsys.readouterr().out
 
-        packed = run("packed")
-        for split in ("train", "val"):
-            (synthetic_dir / f"{split}.pack").unlink()
-        assert run("text") == packed
-        assert packed[1].startswith("top1=")
+        with_files = run("with-files")
+        for sample in synthetic_dir.glob("*.txt"):
+            sample.unlink()
+        assert run("pack-only") == with_files
+        assert with_files[1].startswith("top1=")
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped-payload",
+                                        "lacked-entry", "flipped-label", "forged-nan",
+                                        "forged-shape", "forged-empty", "no-labels"])
+    def test_unusable_pack_exits_2_before_any_epoch(self, tmp_path, synthetic_dir, capsys,
+                                                    split, damage):
+        pack = synthetic_dir / f"{split}.pack"
+        blob = pack.read_bytes()
+        meta, arrays = load_checkpoint(str(pack))
+        first = next(iter(arrays))
+        if damage == "missing":
+            pack.unlink()
+        elif damage == "truncated":
+            pack.write_bytes(blob[:len(blob) // 2])
+        elif damage == "flipped-payload":
+            pack.write_bytes(blob[:-20] + bytes([blob[-20] ^ 1]) + blob[-19:])
+        else:                   # a well-formed pack, checksum and all
+            if damage == "lacked-entry":
+                del arrays[first]
+                meta["labels"] = meta["labels"][1:]
+            elif damage == "flipped-label":
+                meta["labels"][0] ^= 1
+            elif damage == "no-labels":
+                meta = {}
+            else:
+                arrays[first] = {"forged-nan": np.full_like(arrays[first], np.nan),
+                                 "forged-shape": arrays[first][0],
+                                 "forged-empty": arrays[first][:, :0]}[damage]
+            save_checkpoint(str(pack), arrays, meta)
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
+                       "--variant", "v2", "--encoder", "ff", "--segments", "2",
+                       "--frames-per-segment", "4", "--epochs", "1", "--quiet")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: split '{split}': ") and err.count("\n") == 1
+        assert err.endswith("run `tssan index` (or `prepare`) again to rebuild it\n")
+        assert not out.exists()
+
+    def test_eval_of_a_missing_pack_exits_2(self, tmp_path, synthetic_dir, capsys):
+        out = _quick_train(tmp_path, synthetic_dir)
+        (synthetic_dir / "val.pack").unlink()
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                       "--data", str(synthetic_dir / "val.manifest"))
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: split 'val': [Errno 2] No such file or directory: "
+                f"'{synthetic_dir / 'val.pack'}'; run `tssan index` (or `prepare`) "
+                f"again to rebuild it\n")
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, synthetic_dir, capsys):
         out = _quick_train(tmp_path, synthetic_dir)

@@ -1,5 +1,7 @@
 import os
 import re
+import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tssan import data
-from tssan.checkpoint import load_checkpoint, save_checkpoint
+from tssan.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tssan.cli import main
 from tssan.data import (
     DatasetManifest, SampleFormatError, SkeletonClip, ValidationError,
@@ -221,35 +223,41 @@ class TestSampleFiles:
             load_sample(str(path))
 
     def test_label_disagreeing_with_manifest_fails_validation(self, tmp_path):
-        save_sample(str(tmp_path / "s.txt"), _random_clip(np.random.default_rng(11)), 0)
         manifest = DatasetManifest(kind="synthetic", num_labels=4, split="train",
-                                   entries=[("s.txt", 1)], base_dir=str(tmp_path))
-        with pytest.raises(ValidationError, match="s.txt: label 0 disagrees with manifest 1"):
-            load_samples(manifest)
+                                   entries=[("s.txt", 0)], base_dir=str(tmp_path))
+        write_split(manifest, [_random_clip(np.random.default_rng(11)).positions])
+        mpath = tmp_path / "train.manifest"
+        mpath.write_text(mpath.read_text().replace("s.txt\t0", "s.txt\t1"))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"split 'train': {tmp_path / 'train.pack'}: its entries or labels are "
+                f"not the manifest's; run `tssan index`")):
+            load_samples(load_manifest(str(mpath)))
 
     def test_label_out_of_range_fails_validation(self, tmp_path):
-        clip = _random_clip(np.random.default_rng(11), frames=3)
-        save_sample(str(tmp_path / "s.txt"), clip, 9)
         manifest = DatasetManifest(kind="synthetic", num_labels=4, split="train",
                                    entries=[("s.txt", 9)], base_dir=str(tmp_path))
-        with pytest.raises(ValidationError, match="outside"):
+        write_split(manifest, [_random_clip(np.random.default_rng(11), frames=3).positions])
+        with pytest.raises(ValidationError, match=r"s\.txt: label 9 outside \[0, 4\)"):
             load_samples(manifest)
 
     def test_manifest_roundtrip_and_missing_file(self, tmp_path):
+        # no sample file need exist: the split is its manifest and pack
         clip = _random_clip(np.random.default_rng(12), frames=3)
-        save_sample(str(tmp_path / "a.txt"), clip, 0)
         manifest = DatasetManifest(kind="synthetic", num_labels=2, split="val",
                                    entries=[("a.txt", 0)], base_dir=str(tmp_path))
         mpath = tmp_path / "val.manifest"
-        write_split(manifest, {})
+        write_split(manifest, [clip.positions])
         loaded = load_manifest(str(mpath))
         assert (loaded.kind, loaded.num_labels, loaded.split) == ("synthetic", 2, "val")
         assert loaded.entries == [("a.txt", 0)]
+        with closing(load_samples(loaded)) as split:
+            assert split[0].clip.positions.tobytes() == clip.positions.tobytes()
 
-        manifest.entries.append(("gone.txt", 1))
-        write_split(manifest, {})
-        with pytest.raises(ValidationError, match="gone.txt"):
-            load_manifest(str(mpath))
+        # an entry the pack lacks
+        with open(mpath, "a", encoding="utf-8") as fh:
+            fh.write("gone.txt\t1\n")
+        with pytest.raises(ValidationError, match="split 'val': .*not the manifest's"):
+            load_samples(load_manifest(str(mpath)))
 
     @pytest.mark.parametrize("split, rel", [
         ("val", "a#b.txt"), ("val", "a\tb.txt"), ("val", "a\nb.txt"), ("val", "a\rb.txt"),
@@ -265,22 +273,23 @@ class TestSampleFiles:
         with pytest.raises(ValidationError, match=re.escape(
                 f"{base / (split + '.manifest')}: a manifest line cannot hold {key!r} "
                 f"(value {value!r})")):
-            write_split(manifest, {})
+            write_split(manifest, [])
         assert not base.exists()
 
     def test_write_split_keeps_names_its_reader_reads_back(self, tmp_path):
         entries = [("../in/b c.txt", 0), ("é \x0c\xa0\u2028.txt", 1), ("kind", 0)]
-        for rel, _ in entries:
-            os.makedirs(os.path.dirname(tmp_path / "out" / rel), exist_ok=True)
-            (tmp_path / "out" / rel).write_text("")
+        clips = [_random_clip(np.random.default_rng(n)).positions for n in range(3)]
         write_split(DatasetManifest(kind="synthetic", num_labels=2, split="val",
-                                    entries=entries, base_dir=str(tmp_path / "out")), {})
-        assert load_manifest(str(tmp_path / "out" / "val.manifest")).entries == entries
+                                    entries=entries, base_dir=str(tmp_path / "out")), clips)
+        manifest = load_manifest(str(tmp_path / "out" / "val.manifest"))
+        assert manifest.entries == entries
+        with closing(load_samples(manifest)) as split:
+            assert [s.clip.positions.tobytes() for s in split] == [c.tobytes() for c in clips]
 
     def test_manifest_without_entries_rejected(self, tmp_path):
         mpath = tmp_path / "val.manifest"
         write_split(DatasetManifest(kind="synthetic", num_labels=2, split="val", entries=[],
-                                    base_dir=str(tmp_path)), {})
+                                    base_dir=str(tmp_path)), [])
         with pytest.raises(SampleFormatError, match=rf"^{mpath}: manifest lists no samples$"):
             load_manifest(str(mpath))
 
@@ -302,10 +311,11 @@ class TestSampleFiles:
 
     def test_kind_geometry_enforced(self, tmp_path):
         clip = _random_clip(np.random.default_rng(13), frames=3, joints=4)
-        save_sample(str(tmp_path / "a.txt"), clip, 0)
         manifest = DatasetManifest(kind="ntu", num_labels=2, split="train",
                                    entries=[("a.txt", 0)], base_dir=str(tmp_path))
-        with pytest.raises(ValidationError, match="geometry"):
+        write_split(manifest, [clip.positions])
+        with pytest.raises(ValidationError, match=re.escape(
+                "a.txt: geometry (4, 3) does not match kind 'ntu' (25, 3)")):
             load_samples(manifest)
 
 
@@ -411,7 +421,8 @@ class TestSyntheticDataset:
         manifest = make_synthetic_dataset(str(tmp_path), num_labels=2,
                                           samples_per_label=5, frames=10,
                                           joints=3, noise=0.0, seed=3)
-        samples = load_samples(manifest)
+        with closing(load_samples(manifest)) as split:
+            samples = list(split)
         flat = np.stack([s.clip.positions.reshape(-1) for s in samples])
         labels = np.array([s.label for s in samples])
         centroids = np.stack([flat[labels == k].mean(axis=0) for k in range(2)])
@@ -434,7 +445,9 @@ class TestSyntheticDataset:
         manifest = make_synthetic_dataset(str(tmp_path), num_labels=2,
                                           samples_per_label=2, frames=16,
                                           joints=3, noise=0.1, seed=11)
-        for sample in load_samples(manifest):
+        with closing(load_samples(manifest)) as split:
+            samples = list(split)
+        for sample in samples:
             pos = sample.clip.positions
             deltas = frame_differences(pos)
             recon = pos[0].copy()
@@ -457,26 +470,13 @@ def _text_parse(manifest):
     return [load_sample(path) for path in manifest.sample_paths()]
 
 
-@pytest.fixture
-def parsed(monkeypatch):
-    """The basenames of the sample files parsed from text, in order."""
-    names = []
-    parse = data._parse_sample
-
-    def counting(path, blob):
-        names.append(os.path.basename(path))
-        return parse(path, blob)
-
-    monkeypatch.setattr(data, "_parse_sample", counting)
-    return names
-
-
-def _flip_label_digit(blob: bytes) -> bytes:
-    """The pack with one bit of its first stored label flipped (0 <-> 1):
-    the header stays valid JSON and names the other label."""
-    at = blob.index(b'"labels": {"')
-    at = blob.index(b'": ', at + len(b'"labels": {"')) + 3
-    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+def _pack_read(manifest, remove_files=True):
+    """The split's samples, read with every sample file removed first."""
+    if remove_files:
+        for path in set(manifest.sample_paths()):
+            os.unlink(path)
+    with closing(load_samples(manifest)) as split:
+        return list(split)
 
 
 class TestSamplePack:
@@ -485,16 +485,13 @@ class TestSamplePack:
         return make_synthetic_dataset(str(tmp_path / "d"), num_labels=3, samples_per_label=3,
                                       frames=7, joints=2, persons=2, seed=4)
 
-    def test_synthetic_clips_load_from_pack_bit_identical(self, tmp_path, parsed):
+    def test_synthetic_clips_load_from_pack_bit_identical(self, tmp_path):
         manifest = self._dataset(tmp_path)
         assert (tmp_path / "d" / "train.pack").is_file()
         want = _text_parse(manifest)
-        parsed.clear()
-        got = load_samples(manifest)
-        assert parsed == []
-        _same_samples(got, want)
+        _same_samples(_pack_read(manifest), want)
 
-    def test_input_clips_load_from_pack_bit_identical(self, tmp_path, parsed):
+    def test_input_clips_load_from_pack_bit_identical(self, tmp_path):
         folder = tmp_path / "in"
         folder.mkdir()
         rng = np.random.default_rng(21)
@@ -511,28 +508,38 @@ class TestSamplePack:
         assert (tmp_path / "out" / "train.pack").is_file()
         manifest = load_manifest(str(tmp_path / "out" / "train.manifest"))
         want = _text_parse(manifest)
-        parsed.clear()
-        got = load_samples(manifest)
-        # d.txt holds a.txt's bytes: it is parsed rather than handed a.txt's array
-        assert parsed == ["d.txt"]
+        got = _pack_read(manifest)
         _same_samples(got, want)
         assert got[0].clip.valid_person_mask.tolist() == [True, False]
+        # d.txt holds a.txt's bytes, and each entry has its own array
         assert got[0].clip.positions is not got[3].clip.positions
 
-    def test_edited_sample_loads_new_values_and_only_it_is_parsed(self, tmp_path, parsed):
+    def test_each_read_is_a_fresh_array(self, tmp_path):
+        manifest = self._dataset(tmp_path)
+        with closing(load_samples(manifest)) as split:
+            first = split[4].clip.positions
+            first[...] = 0.0
+            assert split[4].clip.positions.tobytes() != first.tobytes()
+            assert split[-1].source_id == "train_02_0002.txt"
+            with pytest.raises(IndexError):
+                split[len(manifest)]
+
+    def test_edited_sample_takes_effect_once_indexed_again(self, tmp_path):
         manifest = self._dataset(tmp_path)
         path = manifest.sample_paths()[4]
         old = load_sample(path)
         new_positions = old.clip.positions * 2.0 + 0.25
         save_sample(path, _clip(new_positions), old.label)
+        # the split is a snapshot of the files as they were when it was written
+        snapshot = _pack_read(manifest, remove_files=False)
+        assert snapshot[4].clip.positions.tobytes() == old.clip.positions.tobytes()
+        assert main(["index", "--out", str(tmp_path / "d"), "--input", str(tmp_path / "d")]) == 0
         want = _text_parse(manifest)
-        parsed.clear()
-        got = load_samples(manifest)
-        assert parsed == [os.path.basename(path)]
+        got = _pack_read(manifest)
         _same_samples(got, want)
         assert got[4].clip.positions.tobytes() == new_positions.tobytes()
 
-    def test_sample_made_non_finite_is_still_refused(self, tmp_path):
+    def test_sample_made_non_finite_is_still_refused(self, tmp_path, capsys):
         manifest = self._dataset(tmp_path)
         path = manifest.sample_paths()[2]
         with open(path, encoding="utf-8") as fh:
@@ -540,37 +547,102 @@ class TestSamplePack:
         lines[3] = " ".join(["inf"] + lines[3].split()[1:])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        with pytest.raises(SampleFormatError, match=r"train_00_0002\.txt:4: non-finite value"):
+        pack = (tmp_path / "d" / "train.pack").read_bytes()
+        # index refuses it, and leaves the split as it was
+        assert main(["index", "--out", str(tmp_path / "d"), "--input", str(tmp_path / "d")]) == 2
+        assert re.search(r"train_00_0002\.txt:4: non-finite value", capsys.readouterr().err)
+        assert (tmp_path / "d" / "train.pack").read_bytes() == pack
+
+    def test_pack_truncated_while_checked_is_refused(self, tmp_path, monkeypatch):
+        manifest = make_synthetic_dataset(str(tmp_path / "d"), num_labels=3,
+                                          samples_per_label=3, frames=64, joints=2, seed=4)
+        pack = tmp_path / "d" / "train.pack"
+        real = data.read_header
+
+        def truncating(path, fh):
+            header = real(path, fh)
+            os.truncate(pack, pack.stat().st_size - 30)    # into the last clip
+            return header
+
+        monkeypatch.setattr(data, "read_header", truncating)
+        with pytest.raises(ValidationError, match="truncated payload at train_02_0002.txt"):
             load_samples(manifest)
 
+    def test_pack_truncated_after_open_is_refused_on_read(self, tmp_path):
+        manifest = self._dataset(tmp_path)
+        with closing(load_samples(manifest)) as split:
+            os.truncate(tmp_path / "d" / "train.pack", 100)
+            with pytest.raises(CheckpointError, match="truncated payload at train_00_0000"):
+                split[0]
+
     @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped-payload",
-                                        "flipped-label", "forged-nan", "forged-shape",
-                                        "forged-empty", "forged-label", "no-labels"])
-    def test_unusable_pack_falls_back_to_text(self, tmp_path, parsed, damage):
+                                        "lacked-entry", "extra-entry", "reordered",
+                                        "flipped-label", "forged-label", "forged-nan",
+                                        "forged-inf", "forged-shape", "forged-empty",
+                                        "one-frame", "no-labels"])
+    def test_unusable_pack_is_refused(self, tmp_path, damage):
         manifest = self._dataset(tmp_path)
         pack = tmp_path / "d" / "train.pack"
         blob = pack.read_bytes()
+        meta, arrays = load_checkpoint(str(pack))
+        names = list(arrays)
         if damage == "missing":
             pack.unlink()
         elif damage == "truncated":
             pack.write_bytes(blob[:len(blob) // 2])
         elif damage == "flipped-payload":
             pack.write_bytes(blob[:-20] + bytes([blob[-20] ^ 1]) + blob[-19:])
-        elif damage == "flipped-label":
-            pack.write_bytes(_flip_label_digit(blob))
-        elif damage == "no-labels":        # the arrays, with a meta of no labels object
-            meta, arrays = load_checkpoint(str(pack))
-            save_checkpoint(str(pack), arrays, {"labels": sorted(meta["labels"])})
-        else:                              # a well-formed pack of entries no file parses to
-            forged = {"forged-nan": lambda pos, label: (np.full_like(pos, np.nan), label),
-                      "forged-shape": lambda pos, label: (pos[0], label),
-                      "forged-empty": lambda pos, label: (pos[:, :0], label),
-                      "forged-label": lambda pos, label: (pos, -1)}[damage]
-            data.write_split(manifest, {digest: forged(sample.clip.positions, sample.label)
-                                        for sample, digest in map(data.read_sample,
-                                                                  manifest.sample_paths())})
-        want = _text_parse(manifest)
-        parsed.clear()
-        got = load_samples(manifest)
-        assert parsed == [os.path.basename(p) for p in manifest.sample_paths()]
-        _same_samples(got, want)
+        else:                   # a well-formed pack, checksum and all
+            if damage == "lacked-entry":
+                del arrays[names[3]], meta["labels"][3]
+            elif damage == "extra-entry":
+                arrays["extra.txt"] = arrays[names[0]]
+                meta["labels"].append(0)
+            elif damage == "reordered":
+                arrays = {name: arrays[name] for name in reversed(names)}
+                meta["labels"].reverse()
+            elif damage == "flipped-label":
+                meta["labels"][5] ^= 1
+            elif damage == "forged-label":
+                meta["labels"][5] = -1
+            elif damage == "no-labels":
+                meta["labels"] = dict(zip(names, meta["labels"]))
+            else:
+                pos = arrays[names[5]]
+                arrays[names[5]] = {"forged-nan": np.where(pos > 0, np.nan, pos),
+                                    "forged-inf": np.where(pos > 0, -np.inf, pos),
+                                    "forged-shape": pos[0], "forged-empty": pos[:, :0],
+                                    "one-frame": pos[:1]}[damage]
+            save_checkpoint(str(pack), arrays, meta)
+        with pytest.raises(ValidationError, match=r"^split 'train': .* run `tssan index`"):
+            load_samples(manifest)
+
+
+def _held_after_open(tmp_path, name, per_label):
+    """Bytes tracemalloc sees held by an open split of 3 * ``per_label``
+    clips, above what its manifest holds, and the size of its pack header."""
+    manifest = make_synthetic_dataset(str(tmp_path / name), num_labels=3,
+                                      samples_per_label=per_label, frames=16, joints=5,
+                                      persons=2, coords=3, seed=2)
+    load_samples(manifest).close()     # the interpreter's free lists, filled untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        split = load_samples(manifest)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    split.close()
+    with open(tmp_path / name / "train.pack", "rb") as fh:
+        header = int.from_bytes(fh.read(16)[8:], "little")
+    return held, header
+
+
+class TestSplitMemory:
+    def test_an_open_split_holds_its_index_not_its_clips(self, tmp_path):
+        small, _ = _held_after_open(tmp_path, "small", 2)
+        large, header = _held_after_open(tmp_path, "large", 20)
+        clip_bytes = 16 * 2 * 5 * 3 * 8
+        # 54 more clips: their index rows, not their 54 * 3,840 bytes
+        assert large - small <= header
+        assert large - small < 54 * clip_bytes / 4

@@ -3,7 +3,9 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 import types
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tssan.models import ModelConfig
 from tssan.optim import Adam
 from tssan.segments import TsnConfig
 from tssan.training import (MetricsRecord, NumericDivergenceError, PreparedSample,
+                            PreparedSplit,
                             TrainConfig, build_ts_model, evaluate,
                             load_model_from_checkpoint, prepare_samples,
                             run_training, topk_hits, train_epoch)
@@ -44,7 +47,8 @@ def _tiny_dataset(tmp_path, per_label=4, num_labels=3, noise=0.05, seed=1,
                                       samples_per_label=per_label, frames=12,
                                       joints=2, persons=2, coords=2, noise=noise,
                                       seed=seed, split=split)
-    return prepare_samples(load_samples(manifest))
+    with closing(load_samples(manifest)) as samples:
+        return prepare_samples(samples)
 
 
 class TestEpochMechanics:
@@ -134,6 +138,42 @@ class TestEpochMechanics:
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, before[name])
             assert not opt.m[name].any() and not opt.v[name].any()
+
+
+class TestSplitMemory:
+    @staticmethod
+    def _epoch_peak(tmp_path, per_label: int, batch: int) -> int:
+        """Peak bytes tracemalloc sees during one epoch over a split of
+        3 * ``per_label`` clips of 96 frames, read from its pack as used."""
+        manifest = make_synthetic_dataset(str(tmp_path / f"d{per_label}"), num_labels=3,
+                                          samples_per_label=per_label, frames=96, joints=5,
+                                          persons=2, coords=3, seed=1)
+        model_cfg = ModelConfig(variant="v2", encoder="ff", num_labels=3, joints=5,
+                                coords=3, persons=2, frames=4, san_layers=1, san_heads=2,
+                                ff_coord_width=2, san_ff_width=8)
+        model = build_ts_model(model_cfg, TsnConfig(segments=2, frames_per_segment=4), 0)
+        opt = Adam(dict(model.named_parameters()), lr=1e-3)
+        model.narrow()
+        with closing(load_samples(manifest)) as split:
+            samples = PreparedSplit(split)
+            train_epoch(model, samples, opt, np.random.default_rng(0), batch)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train_epoch(model, samples, opt, np.random.default_rng(0), batch)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        return peak
+
+    def test_epoch_over_a_packed_split_holds_one_batch(self, tmp_path):
+        batch = 4
+        # a clip read and prepared: float64 positions, float32 positions and motions
+        batch_bytes = batch * 96 * 2 * 5 * 3 * (8 + 4 + 4)
+        small = self._epoch_peak(tmp_path, 2, batch)
+        large = self._epoch_peak(tmp_path, 20, batch)
+        # 54 more clips held whole would add 54 * 11,520 bytes of model input alone
+        assert abs(large - small) <= batch_bytes
 
 
 class TestTrainConfig:
