@@ -51,12 +51,12 @@ class AttentionTrace:
 
 
 def position_embed(x: Tensor, table: Tensor) -> Tensor:
-    """Add the first F rows of the learned position table to each frame."""
+    """Add row f of the learned position table to frame f, of as many frames."""
     frames = x.shape[-2]
-    if frames > table.shape[0]:
-        raise ValueError(f"sequence of {frames} frames exceeds the position "
+    if frames != table.shape[0]:
+        raise ValueError(f"sequence of {frames} frames does not match the position "
                          f"table length {table.shape[0]}")
-    return x + (table[:frames] if frames < table.shape[0] else table)
+    return x + table
 
 
 class MultiHeadAttention(Module):

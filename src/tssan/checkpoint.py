@@ -11,14 +11,14 @@ index order.
 
 Both directions stream.  A save writes the header, whose offsets follow
 from the shapes, then each array in turn, so it never holds a second copy
-of the payload.  A load reads the header and checks the index against the
-file size (:func:`read_header`, which the sample-pack reader shares), and
-reads each array straight into its own buffer while it updates the
-checksum, so it holds about the file's size and no more.
-Loads are all-or-nothing: a bad magic, header, index, size or checksum
-raises a :class:`CheckpointError` before anything is handed out.
-Version-1 files, written before the checksum, have no trailer and still
-load unchecked.
+of the payload.  Checkpoints and the sample packs of ``data.py`` share one
+checked walk (:func:`walk`); no other module reads the container.  It
+checks the index against the file size, reads each array once for the
+checksum and for finiteness, then checks the trailer.  A checkpoint load
+keeps each array in its own buffer (about the file's size, no more); a
+pack's walk keeps none.  It is all-or-nothing: a bad magic, header, index,
+size, checksum or a non-finite value raises a :class:`CheckpointError`
+before anything is handed out.  Version-1 files have no trailer.
 
 A save writes ``<path>.tmp`` and renames it over ``path``, so a reader
 sees the old file or the new one, never a mix; a save that fails removes
@@ -95,24 +95,48 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict):
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (meta, arrays); raises CheckpointError without partial state."""
-    arrays: dict[str, np.ndarray] = {}
     try:
         with open(path, "rb") as fh:
-            version, meta, index, _, crc = read_header(path, fh)
-            for name, shape, _, nbytes in index:
-                arr = np.empty(shape, dtype="<f8")
-                buf = arr.reshape(-1).view(np.uint8)
-                if fh.readinto(buf) != nbytes:
-                    raise CheckpointError(f"{path}: truncated payload at {name}")
-                crc = zlib.crc32(buf, crc)
-                arrays[name] = arr.astype(np.float64, copy=False)
-            check_trailer(path, fh, version, crc)
+            return walk(path, fh, keep=True)[:2]
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return meta, arrays
 
 
-def read_header(path: str, fh) -> tuple[int, dict, list, int, int]:
+def walk(path: str, fh, keep: bool) -> tuple[dict, dict[str, np.ndarray], list]:
+    """The meta, each array in a fresh buffer if ``keep`` (else none, read
+    through one buffer) and the index (name, shape, offset in the file) of
+    ``fh``, once one pass has checked all of it."""
+    version, meta, index, start, crc = _read_header(path, fh)
+    arrays: dict[str, np.ndarray] = {}
+    buf = None if keep else np.empty(max((e[3] for e in index), default=0) // 8, "<f8")
+    non_finite = None      # the first array that holds a non-finite value
+    for name, shape, _, nbytes in index:
+        values = np.empty(shape, "<f8") if keep else buf[:nbytes // 8]
+        if fh.readinto(values) != nbytes:
+            raise CheckpointError(f"{path}: truncated payload at {name}")
+        crc = zlib.crc32(values, crc)
+        if non_finite is None and not np.isfinite(values).all():
+            non_finite = name
+        if keep:
+            arrays[name] = values.astype(np.float64, copy=False)
+    # a corrupt file is reported as such, not by the value its damage made
+    if version == VERSION and fh.read(_CRC.size) != _CRC.pack(crc):
+        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
+    if non_finite is not None:
+        raise CheckpointError(f"{path}: {non_finite} holds non-finite values")
+    return meta, arrays, [(name, shape, start + offset) for name, shape, offset, _ in index]
+
+
+def read_array(fh, name: str, shape, offset: int) -> np.ndarray:
+    """The array ``name`` of ``shape`` at ``offset`` in the file ``fh``, as
+    :func:`walk` indexes it, read with one ``os.preadv`` into a fresh array."""
+    values = np.empty(shape, dtype="<f8")
+    if os.preadv(fh.fileno(), [values], offset) != values.nbytes:
+        raise CheckpointError(f"{fh.name}: truncated payload at {name}")
+    return values
+
+
+def _read_header(path: str, fh) -> tuple[int, dict, list, int, int]:
     """The version, meta and index (name, shape, offset, nbytes) of the file
     ``fh``, checked; its payload's start, where ``fh`` is left, and the
     checksum of what precedes it."""
@@ -158,8 +182,3 @@ def read_header(path: str, fh) -> tuple[int, dict, list, int, int]:
                               f"after the last array")
     return version, meta, index, header_end, zlib.crc32(raw, zlib.crc32(prefix))
 
-
-def check_trailer(path: str, fh, version: int, crc: int):
-    """Compare ``crc``, of every byte read from ``fh``, with its trailer."""
-    if version == VERSION and fh.read(_CRC.size) != _CRC.pack(crc):
-        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")

@@ -304,14 +304,14 @@ def _add_eval(sub):
 
 
 def cmd_eval(args) -> int:
-    model = load_model_from_checkpoint(args.checkpoint)[0]
+    model, train_config, *_ = load_model_from_checkpoint(args.checkpoint)
     manifest = load_manifest(args.data)
     if manifest.num_labels != model.variant.config.num_labels:
         raise CliError(f"checkpoint expects {model.variant.config.num_labels} labels, "
                        f"manifest has {manifest.num_labels}")
     with contextlib.closing(load_samples(manifest)) as split:
-        top1, top5 = evaluate(model, prepare_samples(split, model.variant.config,
-                                                     model.config.segments))
+        samples = prepare_samples(split, model.variant.config, model.config.segments)
+        top1, top5 = evaluate(model, samples, train_config.batch_size)
     print(f"top1={top1!r} top5={top5!r}")
     return 0
 

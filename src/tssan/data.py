@@ -11,25 +11,24 @@ walk over their rows, in file order, which names the first bad line
 (:func:`load_sample`).  A split is a ``<split>.manifest`` and a
 ``<split>.pack`` next to it, and :func:`write_split` alone writes them,
 for ``prepare`` and ``index`` both.  The pack is a checkpoint container
-(``checkpoint.py``) that holds, under each manifest entry's name and in
-manifest order, the float64 positions of its clip, with the labels in
-its meta.  :func:`load_samples` opens a split from its manifest and pack
-alone, and reads no sample file: the split is a snapshot of the sample
-files as ``index`` (or ``prepare``) read them, so an edited file takes
-effect only once ``index`` runs again.
+(``checkpoint.py``, whose checked walk it shares with checkpoints) that
+holds, under each manifest entry's name and in manifest order, the float64
+positions of its clip, with the labels in its meta.  :func:`load_samples`
+opens a split from its manifest and pack alone and reads no sample file:
+the split is a snapshot of the sample files as ``index`` (or ``prepare``)
+read them, so an edited file takes effect only once ``index`` runs again.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import CheckpointError, check_trailer, read_header, save_checkpoint
+from .checkpoint import CheckpointError, read_array, save_checkpoint, walk
 
 DATASET_KINDS = {
     "ntu": (25, 3),        # 3-D joint positions
@@ -370,10 +369,7 @@ class PackedSplit(Sequence):
 
     def __getitem__(self, i) -> LabeledSample:
         rel, label = self.manifest.entries[i]
-        positions = np.empty(self.shapes[i].tolist(), dtype="<f8")
-        buf = positions.reshape(-1).view(np.uint8)
-        if os.preadv(self._fh.fileno(), [buf], int(self._offsets[i])) != buf.nbytes:
-            raise CheckpointError(f"{self._fh.name}: truncated payload at {rel}")
+        positions = read_array(self._fh, rel, self.shapes[i].tolist(), int(self._offsets[i]))
         return _labeled(os.path.join(self.manifest.base_dir, rel), positions, label)
 
     def close(self):
@@ -382,31 +378,21 @@ class PackedSplit(Sequence):
 
 def load_samples(manifest: DatasetManifest) -> PackedSplit:
     """Open a split from its manifest and pack alone, checked once: the pack
-    holds the manifest's entries in order, with its labels, each meeting
-    :func:`_check_entry`; one pass, a clip at a time into one buffer, checks
-    the checksum and that every value is finite.  Else a
-    :class:`ValidationError` names the split and says to run ``index`` again."""
+    passes ``checkpoint.walk``, keeping no clip, and holds the manifest's
+    entries in order, with its labels, each meeting :func:`_check_entry`.
+    Else a :class:`ValidationError` names the split and says to run ``index``."""
     pack = split_files(manifest)[1]
     try:
         with contextlib.ExitStack() as stack:
             fh = stack.enter_context(open(pack, "rb"))
-            version, meta, index, start, crc = read_header(pack, fh)
+            meta, _, index = walk(pack, fh, keep=False)
             if ([name for name, *_ in index] != [rel for rel, _ in manifest.entries]
                     or meta.get("labels") != [label for _, label in manifest.entries]):
                 raise CheckpointError(f"{pack}: its entries or labels are not the manifest's")
-            for (rel, label), (_, shape, _, _) in zip(manifest.entries, index):
+            for (rel, label), (_, shape, _) in zip(manifest.entries, index):
                 _check_entry(manifest, rel, label, shape)
-            buf = np.empty(max((e[3] for e in index), default=0) // 8, dtype="<f8")
-            for name, _, _, nbytes in index:
-                values = buf[:nbytes // 8]
-                if fh.readinto(values.view(np.uint8)) != nbytes:
-                    raise CheckpointError(f"{pack}: truncated payload at {name}")
-                crc = zlib.crc32(values, crc)
-                if not np.isfinite(values).all():
-                    raise CheckpointError(f"{pack}: {name} holds non-finite values")
-            check_trailer(pack, fh, version, crc)
             stack.pop_all()
-        return PackedSplit(manifest, fh, np.array([start + e[2] for e in index], np.int64),
+        return PackedSplit(manifest, fh, np.array([e[2] for e in index], np.int64),
                            np.array([e[1] for e in index], np.int64).reshape(-1, 4))
     except (OSError, CheckpointError, ValidationError) as exc:
         raise ValidationError(f"split {manifest.split!r}: {exc}; run `tssan index` "

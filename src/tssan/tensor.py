@@ -138,9 +138,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __getitem__(self, key):
-        return index(self, key)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

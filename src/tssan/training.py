@@ -150,9 +150,9 @@ def topk_hits(probabilities: np.ndarray, labels: np.ndarray, k: int) -> int:
 
 
 def evaluate(model: TsSan, samples: Sequence[PreparedSample],
-             batch_size: int = 64) -> tuple[float, float]:
-    """Top-1 / top-5 accuracy of the fused predictions in eval mode, on the
-    model narrowed to float32 weights (:meth:`nn.Module.narrow`)."""
+             batch_size: int) -> tuple[float, float]:
+    """Top-1 / top-5 accuracy of the fused predictions in eval mode, in
+    batches of ``batch_size``, on float32 weights (:meth:`nn.Module.narrow`)."""
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
     model.eval().narrow()
@@ -240,8 +240,8 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
     stored array.  Each parameter adopts its stored array without a copy,
     so a resumed Adam's master is that array.  Meta keys it does not read
     (older files also stored settings and copies of state there) are
-    ignored.  Stored parameters must match the model's names and shapes and
-    be finite everywhere."""
+    ignored.  Stored parameters must match the model's names and shapes;
+    the load refuses a non-finite value in any stored array."""
     meta, arrays = load_checkpoint(path)
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
@@ -267,8 +267,6 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
         if stored[name].shape != p.data.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name}: "
                                   f"{stored[name].shape} vs {p.data.shape}")
-        if not np.isfinite(stored[name]).all():
-            raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
         p.data = stored[name]
     return model, train_config, meta, arrays
 
@@ -321,9 +319,8 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                 if not m.shape == v.shape == p.data.shape:
                     raise CheckpointError(f"{resume_from}: moment shapes for {name} "
                                           f"differ from {p.data.shape}")
-                if not (np.isfinite(m).all() and (v >= 0).all() and np.isfinite(v).all()):
-                    raise CheckpointError(f"{resume_from}: moments for {name} must be "
-                                          f"finite, and adam.v >= 0")
+                if not (v >= 0).all():
+                    raise CheckpointError(f"{resume_from}: adam.v.{name} holds negative values")
                 optimizer.m[name], optimizer.v[name] = m, v
             optimizer.step_count = _stored_count("adam.step_count", meta["adam"]["step_count"])
             optimizer.lr = float(meta["adam"]["lr"])

@@ -18,26 +18,28 @@ def _config(**kw):
 
 class TestPositionEmbed:
     def test_zero_table_is_identity(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 8)))
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 6, 8)))
         table = Tensor(np.zeros((6, 8)))
         np.testing.assert_array_equal(position_embed(x, table).data, x.data)
 
-    def test_zero_input_returns_table_prefix(self):
+    def test_zero_input_returns_table(self):
         table = Tensor(np.random.default_rng(1).normal(size=(6, 8)))
-        out = position_embed(Tensor(np.zeros((1, 4, 8))), table)
-        np.testing.assert_array_equal(out.data[0], table.data[:4])
+        out = position_embed(Tensor(np.zeros((1, 6, 8))), table)
+        np.testing.assert_array_equal(out.data[0], table.data)
 
     def test_additivity(self):
         rng = np.random.default_rng(2)
-        x1, x2 = rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 3, 8))
+        x1, x2 = rng.normal(size=(2, 6, 8)), rng.normal(size=(2, 6, 8))
         table = Tensor(rng.normal(size=(6, 8)))
         a = position_embed(Tensor(x1 + x2), table).data
         b = position_embed(Tensor(x1), table).data + x2
         np.testing.assert_allclose(a, b, atol=1e-15)
 
-    def test_overlong_sequence_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            position_embed(Tensor(np.zeros((1, 7, 8))), Tensor(np.zeros((6, 8))))
+    @pytest.mark.parametrize("frames", [1, 4, 5, 7])
+    def test_other_frame_count_rejected(self, frames):
+        with pytest.raises(ValueError, match=f"sequence of {frames} frames does not match "
+                                             f"the position table length 6"):
+            position_embed(Tensor(np.zeros((1, frames, 8))), Tensor(np.zeros((6, 8))))
 
 
 class TestMultiHeadAttention:

@@ -8,6 +8,7 @@ import pytest
 from tssan.checkpoint import load_checkpoint, save_checkpoint
 from tssan.cli import main
 from tssan.data import SkeletonClip, load_manifest, load_sample, save_sample
+from tssan.segments import TsSan
 
 
 def run_cli(*argv):
@@ -385,6 +386,26 @@ class TestTrainEval:
         run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
                 "--data", str(synthetic_dir / "val.manifest"))
         assert capsys.readouterr().out.strip() == first
+
+    def test_eval_replays_the_best_epochs_held_out_pass(self, tmp_path, synthetic_dir,
+                                                        capsys, monkeypatch):
+        out = _quick_train(tmp_path, synthetic_dir)       # --batch-size 4, 6 val clips
+        records = [dict(field.split("=") for field in line.split())
+                   for line in (out / "metrics.log").read_text().splitlines()]
+        best = max(records, key=lambda record: float(record["top1"]))   # the first best
+        sizes = []
+        forward_batch = TsSan.forward_batch
+
+        def recording(self, pairs, *args):
+            sizes.append(len(pairs))
+            return forward_batch(self, pairs, *args)
+
+        monkeypatch.setattr(TsSan, "forward_batch", recording)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                       "--data", str(synthetic_dir / "val.manifest")) == 0
+        assert sizes == [4, 2]
+        assert capsys.readouterr().out == f"top1={best['top1']} top5={best['top5']}\n"
 
     @pytest.mark.parametrize("shape, message", [
         ((2, 2), "bad.txt: 2 frames cannot be split into 3 segments"),
@@ -766,8 +787,8 @@ class TestTrainEval:
         code = run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
                        "--data", str(synthetic_dir / "val.manifest"))
         assert code == 2
-        assert capsys.readouterr() == ("", f"error: {out / 'best.ckpt'}: parameter "
-                                           f"{key[len('param.'):]} holds non-finite values\n")
+        assert capsys.readouterr() == ("", f"error: {out / 'best.ckpt'}: {key} "
+                                           f"holds non-finite values\n")
 
     @pytest.mark.parametrize("command, what", [
         ("prepare", "out-file"), ("train", "out-file"), ("export-attention", "out-file"),

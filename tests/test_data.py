@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tssan import data
+from tssan import checkpoint
 from tssan.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tssan.cli import main
 from tssan.data import (
@@ -557,16 +558,33 @@ class TestSamplePack:
         manifest = make_synthetic_dataset(str(tmp_path / "d"), num_labels=3,
                                           samples_per_label=3, frames=64, joints=2, seed=4)
         pack = tmp_path / "d" / "train.pack"
-        real = data.read_header
+        real = checkpoint._read_header
 
         def truncating(path, fh):
             header = real(path, fh)
             os.truncate(pack, pack.stat().st_size - 30)    # into the last clip
             return header
 
-        monkeypatch.setattr(data, "read_header", truncating)
+        monkeypatch.setattr(checkpoint, "_read_header", truncating)
         with pytest.raises(ValidationError, match="truncated payload at train_02_0002.txt"):
             load_samples(manifest)
+
+    def test_every_single_bit_flip_of_a_pack_is_refused(self, tmp_path):
+        manifest = make_synthetic_dataset(str(tmp_path / "d"), num_labels=2,
+                                          samples_per_label=1, frames=2, joints=1,
+                                          persons=1, coords=1, seed=4)
+        blob = (tmp_path / "d" / "train.pack").read_bytes()
+        (tmp_path / "d" / "copy.pack").write_bytes(blob)
+        load_samples(dataclasses.replace(manifest, split="copy")).close()
+        for at in range(len(blob)):
+            for bit in range(8):
+                # a new file per flip: rewriting one just-written file waits
+                # on its writeback at every close
+                split = f"f{at}.{bit}"
+                (tmp_path / "d" / f"{split}.pack").write_bytes(
+                    blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:])
+                with pytest.raises(ValidationError, match=rf"^split '{re.escape(split)}': "):
+                    load_samples(dataclasses.replace(manifest, split=split))
 
     def test_pack_truncated_after_open_is_refused_on_read(self, tmp_path):
         manifest = self._dataset(tmp_path)

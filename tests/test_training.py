@@ -192,7 +192,7 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         model_cfg, tsn, _ = _tiny_configs()
         with pytest.raises(ValueError, match="cannot evaluate an empty dataset"):
-            evaluate(build_ts_model(model_cfg, tsn, 0), [])
+            evaluate(build_ts_model(model_cfg, tsn, 0), [], 4)
 
     def test_perfect_and_uniform_predictors(self):
         labels = np.array([0, 1, 2, 3])
@@ -217,14 +217,15 @@ class TestEvaluate:
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs()
         model = build_ts_model(model_cfg, tsn, train.seed)
-        top1, top5 = evaluate(model, samples)
+        top1, top5 = evaluate(model, samples, train.batch_size)
         assert 0.0 <= top1 <= top5 <= 1.0
 
     def test_evaluation_is_deterministic(self, tmp_path):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs()
         model = build_ts_model(model_cfg, tsn, train.seed)
-        assert evaluate(model, samples) == evaluate(model, samples)
+        assert (evaluate(model, samples, train.batch_size)
+                == evaluate(model, samples, train.batch_size))
 
 
 class TestMetricsRecord:
@@ -515,8 +516,8 @@ class TestCheckpointContainer:
                  "missing": rf"parameter names disagree with the model: "
                             rf"missing \['{re.escape(name)}'\], unexpected \[\]$",
                  "shape": rf"shape mismatch for {re.escape(name)}: ",
-                 "nan": rf"parameter {re.escape(name)} holds non-finite values$",
-                 "inf": rf"parameter {re.escape(name)} holds non-finite values$"}[damage]
+                 "nan": rf"param\.{re.escape(name)} holds non-finite values$",
+                 "inf": rf"param\.{re.escape(name)} holds non-finite values$"}[damage]
         if damage == "unexpected":
             arrays["param.zz"] = np.ones(2)
         elif damage == "missing":
@@ -529,6 +530,29 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match=match):
             load_model_from_checkpoint(run.last_path)
 
+    def test_non_finite_moment_is_refused_at_load(self, tmp_path):
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=1)
+        run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
+        meta, arrays = load_checkpoint(run.last_path)
+        key = [k for k in arrays if k.startswith("adam.v.")][-1]
+        arrays[key].flat[-1] = np.nan
+        save_checkpoint(run.last_path, arrays, meta)
+        match = rf"^{re.escape(run.last_path)}: {re.escape(key)} holds non-finite values$"
+        for load in (load_checkpoint, load_model_from_checkpoint):
+            with pytest.raises(CheckpointError, match=match):
+                load(run.last_path)
+
+    def test_corrupt_file_is_reported_before_its_non_finite_values(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(str(path), {"w": np.array([1.0, np.inf]), "b": np.ones(2)}, {})
+        with pytest.raises(CheckpointError, match=r": w holds non-finite values$"):
+            load_checkpoint(str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-5] + bytes([blob[-5] ^ 1]) + blob[-4:])  # in b
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("key, value, match", [
         ("adam", 5, "adam is not an object"),
         ("scheduler", 5, "unusable training state"),
@@ -537,10 +561,11 @@ class TestCheckpointContainer:
         ("best_top1", None, "unusable training state"),
         ("adam.m", None, "unusable training state"),
         ("adam.v", lambda moment: moment[..., None], "moment shapes .* differ"),
-        ("adam.m", _first_value(np.nan), r"moments for .* must be finite, and adam.v >= 0$"),
-        ("adam.m", _first_value(-np.inf), r"moments for .* must be finite, and adam.v >= 0$"),
-        ("adam.v", _first_value(np.inf), r"moments for .* must be finite, and adam.v >= 0$"),
-        ("adam.v", _first_value(-1.0), r"moments for .* must be finite, and adam.v >= 0$"),
+        ("adam.m", _first_value(np.nan), r"<array> holds non-finite values$"),
+        ("adam.m", _first_value(-np.inf), r"<array> holds non-finite values$"),
+        ("adam.v", _first_value(np.inf), r"<array> holds non-finite values$"),
+        ("adam.v", _first_value(np.nan), r"<array> holds non-finite values$"),
+        ("adam.v", _first_value(-1.0), r"<array> holds negative values$"),
         ("adam.lr", -1e-3, r"unusable training state .*adam.lr must be finite and >= 0"),
         ("adam.lr", float("inf"), r"unusable training state .*adam.lr must be finite"),
         ("adam.lr", float("nan"), r"unusable training state .*adam.lr must be finite"),
@@ -556,7 +581,7 @@ class TestCheckpointContainer:
         ("best_top1", 1.5, r"unusable training state .*best_top1 must lie in"),
         ("best_top1", -0.25, r"unusable training state .*best_top1 must lie in"),
     ], ids=["adam", "scheduler", "rng_state", "epoch", "best_top1", "missing-moment",
-            "moment-shape", "m-nan", "m-inf", "v-inf", "v-negative",
+            "moment-shape", "m-nan", "m-inf", "v-inf", "v-nan", "v-negative",
             "lr-negative", "lr-inf", "lr-nan", "step_count-negative", "step_count-float",
             "bad_epochs-negative", "bad_epochs-bool", "epoch-negative", "epoch-float",
             "epoch-bool", "best_top1-nan", "best_top1-inf", "best_top1-above-1",
@@ -568,6 +593,7 @@ class TestCheckpointContainer:
         meta, arrays = load_checkpoint(run.last_path)
         if key in ("adam.m", "adam.v"):
             name = next(k for k in arrays if k.startswith(key + "."))
+            match = match.replace("<array>", re.escape(name))
             if value is None:
                 del arrays[name]
             else:
@@ -756,7 +782,7 @@ class TestRunTraining:
         model_cfg, tsn, train = _tiny_configs(epochs=2)
         run = run_training(model_cfg, tsn, train, samples, out_dir=str(tmp_path / "r"))
         model = load_model_from_checkpoint(run.best_path)[0]
-        top1, _ = evaluate(model, samples)
+        top1, _ = evaluate(model, samples, train.batch_size)
         assert top1 == run.best_top1
 
     def test_train_eval_dropout_divergence(self, tmp_path):
