@@ -150,7 +150,7 @@ def _read_header(path: str, fh) -> tuple[int, dict, list, int, int]:
     raw = fh.read(header_end - len(prefix))
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:   # too deep
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: malformed header, not a JSON object")

@@ -6,8 +6,9 @@ in the sample format); ``data.write_split`` writes the splits of both, a
 manifest and a pack each.  Configuration comes from an INI-style file
 ([model] / [tsn] / [train] sections of key = value pairs) with command-line
 flags taking precedence; the merged effective config is echoed into the
-output directory.  Exit codes: 0 success, 2 usage, configuration, input or
-file-system problem (any ``OSError``), 3 numeric divergence.
+run directory, which ``training`` guards.  Exit codes: 0 success, 2 usage,
+configuration, input or file-system problem (any ``OSError``), 3 numeric
+divergence.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import sys
 from collections import Counter
 from dataclasses import fields as dataclass_fields
-from functools import partial
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .data import (PackedSplit, SampleFormatError, ValidationError, index_split,
 from .models import ENCODERS, VARIANTS, ModelConfig
 from .segments import CONSENSUS_MODES, TsnConfig
 from .tensor import no_grad
-from .training import (NumericDivergenceError, PreparedSplit, TrainConfig, evaluate,
-                       load_model_from_checkpoint, run_training)
+from .training import (NumericDivergenceError, PreparedSplit, TrainConfig, claim_run_dir,
+                       evaluate, load_model_from_checkpoint, run_training)
 from .checkpoint import CheckpointError
 
 
@@ -86,18 +86,17 @@ def read_config_file(path: str) -> dict[str, dict]:
     return out
 
 
-def write_config_echo(path: str, model: ModelConfig, tsn: TsnConfig,
-                      train: TrainConfig):
-    parser = configparser.ConfigParser()
+def render_config_echo(model: ModelConfig, tsn: TsnConfig, train: TrainConfig) -> str:
+    lines = []
     for name, cfg in (("model", model), ("tsn", tsn), ("train", train)):
-        parser[name] = {}
+        lines.append(f"[{name}]")
         for key in _settable(name):
             value = getattr(cfg, key)
             if isinstance(value, tuple):
                 value = ", ".join(repr(v) for v in value)
-            parser[name][key] = str(value)
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
+            lines.append(f"{key} = {value}")
+        lines.append("")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +187,11 @@ def _add_train(sub):
                    help="training manifest; its clips are read from the split's pack, "
                         "a snapshot of the sample files as index last read them")
     p.add_argument("--val", help="validation manifest (defaults to the training split)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="run directory; one that holds a run's "
+                   "config.ini, metrics.log or checkpoints takes only --resume (exit 2)")
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--resume", help="checkpoint whose run to continue; settings other "
-                                     "than epochs and batch size must be its own (exit 2)")
+    p.add_argument("--resume", help="checkpoint whose run to continue, in place if it is "
+                   "--out's last.ckpt; only epochs and batch size may differ (exit 2)")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--encoder", choices=ENCODERS)
     p.add_argument("--segments", type=int)
@@ -254,21 +254,8 @@ def prepare_samples(split: PackedSplit, model: ModelConfig, segments: int) -> Pr
     return PreparedSplit(split)
 
 
-# what a run writes into --out
-_RUN_FILES = ("config.ini", "metrics.log", "best.ckpt", "last.ckpt")
-
-
 def cmd_train(args) -> int:
-    # a run into another run's --out would append to its metrics.log and
-    # overwrite its checkpoints; a resume may write into its checkpoint's own
-    held = [name for name in _RUN_FILES if os.path.exists(os.path.join(args.out, name))]
-    if held and args.resume is None:
-        raise CliError(f"--out {args.out} already holds a run ({', '.join(held)}); "
-                       f"continue it with --resume or train into another directory")
-    if held and not os.path.samefile(os.path.dirname(args.resume) or ".", args.out):
-        raise CliError(f"--out {args.out} already holds another run ({', '.join(held)}); "
-                       f"a resume writes into the directory of its checkpoint or into "
-                       f"one that holds no run")
+    claim_run_dir(args.out, args.resume)      # a refused --out costs no pack walk
     manifest = load_manifest(args.data)
     with contextlib.ExitStack() as stack:     # the packs stay open until the run ends
         raw = stack.enter_context(contextlib.closing(load_samples(manifest)))
@@ -281,13 +268,9 @@ def cmd_train(args) -> int:
                 raise CliError("train/val manifests disagree on num_labels")
             val = prepare_samples(stack.enter_context(contextlib.closing(
                 load_samples(val_manifest))), model_cfg, tsn_cfg.segments)
-
-        # the echo is written only once a resume checkpoint has been accepted
-        echo = partial(write_config_echo, os.path.join(args.out, "config.ini"),
-                       model_cfg, tsn_cfg, train_cfg)
         run = run_training(model_cfg, tsn_cfg, train_cfg, samples, val,
-                           out_dir=args.out, resume_from=args.resume,
-                           quiet=args.quiet, on_start=echo)
+                           out_dir=args.out, resume_from=args.resume, quiet=args.quiet,
+                           config_text=render_config_echo(model_cfg, tsn_cfg, train_cfg))
     # none when a resume into a new --out never beats the stored best
     print(f"best top1={run.best_top1!r} checkpoint={run.best_path or 'none'}")
     return 0

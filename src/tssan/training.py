@@ -1,17 +1,19 @@
-"""Training loop, evaluation metrics, checkpoint/resume orchestration.
+"""Training loop, evaluation metrics, and run directories with their checkpoints.
 
 Training is a deterministic function of (seed, data, config): one generator
 seeded from the config drives shuffling, augmentation windows, and dropout
 in a fixed draw order, and its state rides along in checkpoints so resumed
-runs continue bit-identically.
+runs continue bit-identically.  Which run may write a directory is decided
+here alone (:func:`claim_run_dir`), and :func:`run_training` writes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -192,6 +194,21 @@ def _stored_count(name: str, value) -> int:
     return value
 
 
+def claim_run_dir(out_dir: str, resume_from: str | None) -> bool:
+    """Whether a run resumed from ``resume_from`` (None: fresh) continues the
+    run in ``out_dir`` and owns its ``best.ckpt``.  A directory holding a run's
+    files takes no other run than one resumed from its ``last.ckpt``."""
+    held = [name for name in ("config.ini", "metrics.log", "best.ckpt", "last.ckpt")
+            if os.path.exists(os.path.join(out_dir, name))]
+    if not held:
+        return False
+    with contextlib.suppress(OSError):      # a missing file is no run's last.ckpt
+        if resume_from and os.path.samefile(resume_from, os.path.join(out_dir, "last.ckpt")):
+            return True
+    raise FileExistsError(f"--out {out_dir} already holds a run ({', '.join(held)}); only "
+                          f"--resume from its last.ckpt continues it, else use another --out")
+
+
 _META_KEYS = ("configs", "epoch", "best_top1", "adam", "scheduler", "rng_state")
 # the settings a resume may change: how far the run goes and its batch size
 _RESUMABLE = ("epochs", "batch_size")
@@ -253,9 +270,10 @@ def load_model_from_checkpoint(path: str) -> tuple[TsSan, TrainConfig, dict,
         model_config = ModelConfig(**configs["model"])
         tsn_config = TsnConfig(**configs["tsn"])
         train_config = TrainConfig(**configs["train"])
+        # settings that pass the config checks can still fail to build a model
+        model = build_ts_model(model_config, tsn_config, train_config.seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unusable configs in meta ({exc!r})") from exc
-    model = build_ts_model(model_config, tsn_config, train_config.seed)
     params = dict(model.named_parameters())
     stored = {key[len("param."):]: arr for key, arr in arrays.items()
               if key.startswith("param.")}
@@ -275,19 +293,20 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                  train_config: TrainConfig, train_samples: Sequence[PreparedSample],
                  val_samples: Sequence[PreparedSample] | None = None, *, out_dir: str,
                  resume_from: str | None = None, quiet: bool = True,
-                 on_start: Callable[[], None] | None = None) -> TrainingRun:
-    """Train to ``epochs``, with ``metrics.log``, ``best.ckpt`` and
-    ``last.ckpt`` written to ``out_dir``.  Without a validation split
-    (``val_samples`` None) the training split doubles as the selection and
+                 config_text: str | None = None) -> TrainingRun:
+    """Train to ``epochs``, writing ``metrics.log``, ``best.ckpt``, ``last.ckpt``
+    and ``config_text`` (if given) as ``config.ini`` to an ``out_dir`` that
+    :func:`claim_run_dir` allows.  Without a validation split (``val_samples``
+    None) the training split doubles as the selection and
     plateau metric, which suits overfitting checks.  An epoch whose top-1
     beats the best so far writes ``best.ckpt`` and resets ``bad_epochs``;
     else at ``plateau_patience`` bad epochs in a row the lr is scaled by
     ``lr_factor`` and the count resets.  Records keep the lr an epoch used,
     checkpoints the lr the next one uses.  A resume changing more than
     ``epochs`` and ``batch_size``, or asking for fewer epochs than its
-    checkpoint has run, is a CheckpointError.  ``on_start`` runs once a
-    resume is accepted, before the first epoch.
+    checkpoint has run, is a CheckpointError raised before any write.
     """
+    in_place = claim_run_dir(out_dir, resume_from)
     configs = {"model": asdict(model_config), "tsn": asdict(tsn_config),
                "train": asdict(train_config)}
     meta = None
@@ -310,7 +329,8 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
     rng = np.random.default_rng([train_config.seed, 1])
     best_path = os.path.join(out_dir, "best.ckpt")
     run = TrainingRun(model=model, optimizer=optimizer,
-                      last_path=os.path.join(out_dir, "last.ckpt"))
+                      last_path=os.path.join(out_dir, "last.ckpt"),
+                      best_path=best_path if in_place and os.path.exists(best_path) else None)
     start_epoch = 0
     if meta is not None:
         try:
@@ -339,15 +359,11 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
         if train_config.epochs < start_epoch:
             raise CheckpointError(f"{resume_from}: the run has trained {start_epoch} epochs, "
                                   f"more than the {train_config.epochs} asked for")
-        # a best.ckpt here is the resumed run's only if it resumes from here
-        if os.path.exists(best_path) and os.path.samefile(
-                os.path.dirname(resume_from) or ".", out_dir):
-            run.best_path = best_path
 
     os.makedirs(out_dir, exist_ok=True)
-    if on_start is not None:
-        on_start()
-    metrics_path = os.path.join(out_dir, "metrics.log")
+    if config_text is not None:
+        with open(os.path.join(out_dir, "config.ini"), "w", encoding="utf-8") as fh:
+            fh.write(config_text)
     held_out = train_samples if val_samples is None else val_samples
     for epoch in range(start_epoch + 1, train_config.epochs + 1):
         t0 = time.perf_counter()
@@ -365,7 +381,7 @@ def run_training(model_config: ModelConfig, tsn_config: TsnConfig,
                 optimizer.lr *= train_config.lr_factor
                 run.bad_epochs = 0
         run.history.append(record)
-        with open(metrics_path, "a", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, "metrics.log"), "a", encoding="utf-8") as fh:
             fh.write(record.line() + "\n")
         if not quiet:
             print(record.line(), flush=True)

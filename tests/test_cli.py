@@ -1,11 +1,13 @@
 import builtins
 import os
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
-from tssan.checkpoint import load_checkpoint, save_checkpoint
+from tssan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tssan.cli import main
 from tssan.data import SkeletonClip, load_manifest, load_sample, save_sample
 from tssan.segments import TsSan
@@ -55,6 +57,14 @@ def _quick_train(tmp_path, synthetic_dir, *extra):
                    "--lr", "0.003", "--seed", "3", "--quiet", *extra)
     assert code == 0
     return out
+
+
+def _nested_too_deep(path):
+    """A container file whose JSON header nests 200,000 lists deep, deeper
+    than the decoder goes, under a valid checksum."""
+    blob = b"[" * 200_000 + b"]" * 200_000
+    data = MAGIC + struct.pack("<Q", len(blob)) + blob
+    path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
 
 
 def _clip_dir(tmp_path, shapes_by_name):
@@ -456,33 +466,47 @@ class TestTrainEval:
         assert message in capsys.readouterr().err
 
     def test_same_run_without_the_sample_files(self, tmp_path, synthetic_dir, capsys):
-        # train and eval read a split from its manifest and pack alone, and
-        # close each pack themselves: no file is left for the collector
+        # train and eval read a split from its manifest and pack alone; every
+        # command, a refused one too, closes each file it opens itself, so no
+        # file is left for the collector
         def run(name):
             out = tmp_path / name
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ResourceWarning)
-                code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
-                               "--val", str(synthetic_dir / "val.manifest"),
-                               "--out", str(out), "--config", str(_narrow_config(tmp_path)),
-                               "--variant", "v3", "--encoder", "ff", "--segments", "2",
-                               "--frames-per-segment", "4", "--san-layers", "1",
-                               "--san-heads", "2", "--epochs", "2", "--batch-size", "4",
-                               "--seed", "3", "--quiet")
-                assert code == 0
-                capsys.readouterr()
-                assert run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
-                               "--data", str(synthetic_dir / "val.manifest")) == 0
-            assert [w.message for w in caught if w.category is ResourceWarning] == []
+            train = ["train", "--data", str(synthetic_dir / "train.manifest"),
+                     "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
+                     "--config", str(_narrow_config(tmp_path)), "--variant", "v3",
+                     "--encoder", "ff", "--segments", "2", "--frames-per-segment", "4",
+                     "--san-layers", "1", "--san-heads", "2", "--batch-size", "4",
+                     "--seed", "3", "--quiet"]
+            assert run_cli(*train, "--epochs", "2") == 0
+            assert run_cli(*train, "--epochs", "3", "--resume", str(out / "last.ckpt")) == 0
+            capsys.readouterr()
+            assert run_cli("eval", "--checkpoint", str(out / "best.ckpt"),
+                           "--data", str(synthetic_dir / "val.manifest")) == 0
             log = [line.split(" seconds=")[0]
                    for line in (out / "metrics.log").read_text().splitlines()]
-            return log, capsys.readouterr().out
+            return log, capsys.readouterr().out, train
 
-        with_files = run("with-files")
-        for sample in synthetic_dir.glob("*.txt"):
-            sample.unlink()
-        assert run("pack-only") == with_files
-        assert with_files[1].startswith("top1=")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run_cli("prepare", "--synthetic", "--out", str(tmp_path / "prepared"),
+                           "--labels", "2", "--per-label", "2", "--frames", "6") == 0
+            assert run_cli("index", "--input", str(synthetic_dir),
+                           "--out", str(tmp_path / "indexed")) == 0
+            with_files = run("with-files")
+            assert run_cli("export-attention", "--checkpoint",
+                           str(tmp_path / "with-files" / "best.ckpt"),
+                           "--sample", str(next(synthetic_dir.glob("val_*.txt"))),
+                           "--out", str(tmp_path / "maps")) == 0
+            for sample in synthetic_dir.glob("*.txt"):
+                sample.unlink()
+            pack_only = run("pack-only")
+            train = pack_only[2]
+            for resume in ([], ["--resume", str(tmp_path / "pack-only" / "best.ckpt")],
+                           ["--resume", str(tmp_path / "with-files" / "last.ckpt")]):
+                assert run_cli(*train, "--epochs", "4", *resume) == 2
+        assert [w.message for w in caught if w.category is ResourceWarning] == []
+        assert pack_only[:2] == with_files[:2]
+        assert len(with_files[0]) == 3 and with_files[1].startswith("top1=")
 
     @pytest.mark.parametrize("split", ["train", "val"])
     @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped-payload",
@@ -546,6 +570,34 @@ class TestTrainEval:
         assert code == 2
         assert "checksum mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_header_nested_too_deep_exits_2(self, tmp_path, synthetic_dir, capsys, command):
+        if command == "eval":
+            bad = tmp_path / "deep.ckpt"
+            argv = ["--checkpoint", str(bad), "--data", str(synthetic_dir / "val.manifest")]
+            prefix = f"error: {bad}: "
+        else:
+            bad = synthetic_dir / "train.pack"
+            argv = ["--data", str(synthetic_dir / "train.manifest"), "--out",
+                    str(tmp_path / "run"), "--variant", "v2", "--encoder", "ff"]
+            prefix = f"error: split 'train': {bad}: "
+        _nested_too_deep(bad)
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(prefix + "unreadable header: maximum recursion depth exceeded")
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_from_a_missing_checkpoint_exits_2(self, tmp_path, synthetic_dir, capsys):
+        missing = tmp_path / "none.ckpt"
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--out", str(tmp_path / "run"), "--variant", "v2", "--encoder", "ff",
+                       "--resume", str(missing))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read checkpoint {missing}: ")
+        assert not (tmp_path / "run").exists()
+
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, synthetic_dir):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                        "--data", str(synthetic_dir / "val.manifest"))
@@ -598,10 +650,34 @@ class TestTrainEval:
                        "--resume", str(run_a / "last.ckpt"))
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: --out {run_b} already holds another run (config.ini, metrics.log, "
-            f"best.ckpt, last.ckpt); a resume writes into the directory of its checkpoint "
-            f"or into one that holds no run\n")
+            f"error: --out {run_b} already holds a run (config.ini, metrics.log, "
+            f"best.ckpt, last.ckpt); only --resume from its last.ckpt continues it, "
+            f"else use another --out\n")
         assert {name: (run_b / name).read_bytes() for name in os.listdir(run_b)} == before
+
+    @pytest.mark.parametrize("resume", [None, "its best.ckpt", "another run's last.ckpt"])
+    def test_refused_out_is_kept_and_reads_no_pack(self, tmp_path, synthetic_dir, capsys,
+                                                   monkeypatch, resume):
+        # a resume from best.ckpt in place would log its later epochs twice
+        from tssan import cli
+        out = _quick_train(tmp_path, synthetic_dir)
+        source = {None: None, "its best.ckpt": out / "best.ckpt",
+                  "another run's last.ckpt":
+                      _quick_train(tmp_path / "b", synthetic_dir) / "last.ckpt"}[resume]
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        monkeypatch.setattr(cli, "load_samples",
+                            lambda manifest: pytest.fail("a refused --out read a pack"))
+        capsys.readouterr()
+        code = run_cli("train", "--data", str(synthetic_dir / "train.manifest"),
+                       "--val", str(synthetic_dir / "val.manifest"), "--out", str(out),
+                       "--config", str(out / "config.ini"), "--epochs", "4", "--quiet",
+                       *(["--resume", str(source)] if source else []))
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: --out {out} already holds a run (config.ini, metrics.log, best.ckpt, "
+            f"last.ckpt); only --resume from its last.ckpt continues it, else use another "
+            f"--out\n"))
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_resume_names_only_a_best_checkpoint_it_wrote(self, tmp_path, synthetic_dir,
                                                           capsys, monkeypatch):

@@ -290,6 +290,16 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
 
+    def test_header_nested_deeper_than_the_decoder_goes_rejected(self, tmp_path):
+        import struct, zlib
+        from tssan.checkpoint import MAGIC
+        blob = b"[" * 200_000 + b"]" * 200_000
+        data = MAGIC + struct.pack("<Q", len(blob)) + blob
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(CheckpointError, match="unreadable header: maximum recursion"):
+            load_checkpoint(str(path))
+
     def test_file_shortened_while_loading_rejected(self, tmp_path, monkeypatch):
         # the file loses its tail after its size was read: a short read, never
         # an array left partly unread
@@ -489,10 +499,11 @@ class TestCheckpointContainer:
         ("model", "san_heads", 3), ("model", "san_layers", 0), ("model", "san_dropout", 1.5),
         ("model", "head_dropout", -0.1), ("model", "san_ff_width", -512),
         ("train", "lr", float("nan")), ("train", "weight_decay", -1e-4),
-        ("train", "weight_decay", float("inf")), ("train", "seed", -1)],
+        ("train", "weight_decay", float("inf")), ("train", "seed", -1),
+        ("model", "san_layers", 1.5)],
         ids=["san_heads-3", "san_layers-0", "san_dropout-1.5", "head_dropout--0.1",
              "san_ff_width--512", "train-lr-nan", "train-weight_decay",
-             "train-weight_decay-inf", "train-seed-negative"])
+             "train-weight_decay-inf", "train-seed-negative", "san_layers-1.5"])
     def test_stored_bad_model_config_rejected(self, tmp_path, section, key, value):
         samples = _tiny_dataset(tmp_path)
         model_cfg, tsn, train = _tiny_configs(epochs=1)
@@ -691,6 +702,22 @@ class TestRunTraining:
             run_training(*configs.values(), samples, out_dir=str(tmp_path / "y"),
                          resume_from=str(tmp_path / "x" / "last.ckpt"))
         assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("resume", [None, "best.ckpt"])
+    def test_run_into_a_held_directory_rejected(self, tmp_path, resume):
+        # another run would append to its metrics.log and overwrite its
+        # checkpoints; only a resume from its own last.ckpt continues it
+        samples = _tiny_dataset(tmp_path)
+        model_cfg, tsn, train = _tiny_configs(epochs=2)
+        out = tmp_path / "r"
+        run_training(model_cfg, tsn, train, samples, out_dir=str(out))
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        with pytest.raises(FileExistsError, match=re.escape(
+                f"--out {out} already holds a run (metrics.log, best.ckpt, last.ckpt); "
+                f"only --resume from its last.ckpt continues it")):
+            run_training(model_cfg, tsn, dataclasses.replace(train, epochs=3), samples,
+                         out_dir=str(out), resume_from=resume and str(out / resume))
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_resume_may_change_epochs_and_batch_size(self, tmp_path):
         samples = _tiny_dataset(tmp_path)

@@ -12,7 +12,8 @@ user and the benchmark run, on tiny data in a temporary directory:
 - ``train`` at K=3 segments for each of v1/v2/v3 x ff/cnn x avg/max,
   every other one with ``--val`` and a config file (which sets
   ``plateau_patience = 1``, and ``v3_inference = mean`` for v3), then a
-  resume of each to a later epoch, ``eval`` of its ``best.ckpt`` and
+  resume of each to a later epoch in place (the first also, before that,
+  into a fresh directory), ``eval`` of its ``best.ckpt`` and
   ``export-attention`` of one sample;
 - every workload of ``bench/run.py`` at ``--toy``, with ``--trace 0``
   and with ``--trace 1``.
@@ -55,7 +56,7 @@ def user_commands(work: Path):
     tssan("index", "--input", data, "--out", indexed)
     for n, (variant, encoder, consensus) in enumerate(VARIANTS):
         out = work / f"run{n}"
-        flags = ["--data", indexed / "train.manifest", "--out", out,
+        flags = ["--data", indexed / "train.manifest",
                  "--variant", variant, "--encoder", encoder, "--consensus", consensus,
                  "--segments", 3, "--frames-per-segment", 4, "--san-layers", 1,
                  "--san-heads", 2, "--seed", n]
@@ -65,8 +66,10 @@ def user_commands(work: Path):
                               + ("v3_inference = mean\n" if variant == "v3" else "")
                               + "[train]\nbatch_size = 4\nplateau_patience = 1\n")
             flags += ["--val", data / "val.manifest", "--config", config]
-        tssan("train", *flags, "--epochs", 2)
-        tssan("train", *flags, "--epochs", 3, "--resume", out / "last.ckpt")
+        tssan("train", *flags, "--out", out, "--epochs", 2)
+        for target in (work / "resumed", out) if n == 0 else (out,):
+            tssan("train", *flags, "--out", target, "--epochs", 3,
+                  "--resume", out / "last.ckpt")
         tssan("eval", "--checkpoint", out / "best.ckpt", "--data", data / "val.manifest")
         tssan("export-attention", "--checkpoint", out / "best.ckpt",
               "--sample", next(data.glob("val_*.txt")), "--out", work / f"export{n}")
