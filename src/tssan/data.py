@@ -441,6 +441,8 @@ def make_synthetic_dataset(out_dir: str, num_labels: int, samples_per_label: int
         raise ValueError("all synthetic dataset extents must be positive")
     if frames < 2:
         raise ValueError("synthetic clips need at least 2 frames")
+    if not np.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     manifest = DatasetManifest(kind="synthetic", num_labels=num_labels, split=split,
                                entries=[(f"{split}_{label:02d}_{i:04d}.txt", label)
                                         for label in range(num_labels)

@@ -129,6 +129,9 @@ class TsSan(Module):
 
     def __init__(self, variant: Module, config: TsnConfig):
         super().__init__()
+        if variant.config.frames != config.frames_per_segment:
+            raise ValueError(f"the model takes {variant.config.frames} frames, but each "
+                             f"segment is resampled to {config.frames_per_segment}")
         self.variant = variant
         self.config = config
 

@@ -210,13 +210,16 @@ class TestPrepare:
         ("--per-label", "0", "extents must be positive"),
         ("--labels", "0", "extents must be positive"),
         ("--frames", "1", "at least 2 frames"),
-    ], ids=["per-label-0", "labels-0", "frames-1"])
+        ("--noise", "nan", "noise must be finite, got nan"),
+        ("--noise", "inf", "noise must be finite, got inf"),
+    ], ids=["per-label-0", "labels-0", "frames-1", "noise-nan", "noise-inf"])
     def test_bad_synthetic_extent_exits_2(self, tmp_path, capsys, flag, value, message):
-        code = run_cli("prepare", "--out", str(tmp_path / "o"), "--synthetic",
-                       flag, value)
+        out = tmp_path / "o"
+        code = run_cli("prepare", "--out", str(out), "--synthetic", flag, value)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: prepare --synthetic: ") and message in err
+        assert not out.exists()
 
     def test_negative_val_per_label_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -865,6 +868,25 @@ class TestTrainEval:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {out / 'best.ckpt'}: {key} "
                                            f"holds non-finite values\n")
+
+    @pytest.mark.parametrize("command", ["eval", "export-attention"])
+    def test_stored_frame_count_mismatch_exits_2(self, tmp_path, synthetic_dir, capsys,
+                                                 command):
+        # a model of 5 frames under segments resampled to 4 cannot be built
+        ckpt = _quick_train(tmp_path, synthetic_dir) / "best.ckpt"
+        meta, arrays = load_checkpoint(str(ckpt))
+        meta["configs"]["model"]["frames"] = 5
+        save_checkpoint(str(ckpt), arrays, meta)
+        capsys.readouterr()
+        maps = tmp_path / "maps"
+        argv = {"eval": ["--data", str(synthetic_dir / "val.manifest")],
+                "export-attention": ["--sample", str(synthetic_dir / "val_00_0000.txt"),
+                                     "--out", str(maps)]}[command]
+        assert run_cli(command, "--checkpoint", str(ckpt), *argv) == 2
+        assert capsys.readouterr() == ("", f"error: {ckpt}: unusable configs in meta "
+                                           f"(ValueError('the model takes 5 frames, but each "
+                                           f"segment is resampled to 4'))\n")
+        assert not maps.exists()
 
     @pytest.mark.parametrize("command, what", [
         ("prepare", "out-file"), ("train", "out-file"), ("export-attention", "out-file"),

@@ -215,6 +215,12 @@ class TestConsensus:
 
 
 class TestTsSan:
+    def test_frame_count_mismatch_rejected(self):
+        net = _model(frames=4).variant
+        with pytest.raises(ValueError, match="the model takes 4 frames, but each segment "
+                                             "is resampled to 5"):
+            TsSan(net, TsnConfig(segments=3, frames_per_segment=5))
+
     def test_single_parameter_set_for_all_segments(self):
         model = _model(segments=4)
         ts_names = [n for n, _ in model.named_parameters()]

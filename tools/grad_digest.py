@@ -24,9 +24,10 @@ When to use which check:
   optimizer: it reaches the full-size shapes (25 joints, 32 frames per
   segment, 8 heads of width 640, batch 8) that decide GEMM blocking,
   conv2d row blocks and float32/float64 accumulation order;
-- ``tools/identity_run.sh``, for a change anywhere on the CLI path: it
-  compares every byte that prepare, train, resume, eval and
-  export-attention write, on toy shapes, in about 5 min.
+- ``tools/user_paths.py <repo> <out>``, for a change anywhere on the CLI
+  path: ``diff -r`` of two checkouts' ``<out>`` compares every byte that
+  prepare, index, train, resume, eval and export-attention write, on toy
+  shapes, in about 1 min.
 """
 
 from __future__ import annotations
